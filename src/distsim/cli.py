@@ -83,6 +83,22 @@ def _seed_of(args) -> int:
 
 # ----------------------------------------------------------------- distance
 
+def _truncated_mvn_distance(a, b, args):
+    _require_seed(args)
+    return bc_truncated_mvn(a, b, QuadConfig(seed=_seed_of(args),
+                                             mc_samples=args.mc_samples))
+
+
+#: exact distribution type -> distance(a, b, args) -> DivergenceValue
+_DISTANCES = {
+    DiscreteDist: lambda a, b, args: bc_coefficient_discrete(a, b),
+    GaussianUni: lambda a, b, args: bc_normal_uni(a, b),
+    GaussianMulti: lambda a, b, args: bc_mvn(a, b),
+    TruncGaussianUni: lambda a, b, args: bc_truncated_uni(a, b),
+    TruncGaussianMulti: _truncated_mvn_distance,
+}
+
+
 def _cmd_distance(args) -> int:
     a = from_json(Path(args.first).read_text())
     b = from_json(Path(args.second).read_text())
@@ -90,20 +106,9 @@ def _cmd_distance(args) -> int:
         raise DomainError(
             f"cannot compare {type(a).__name__} with {type(b).__name__}"
         )
-    if isinstance(a, DiscreteDist):
-        value = bc_coefficient_discrete(a, b)
-    elif isinstance(a, TruncGaussianUni):
-        value = bc_truncated_uni(a, b)
-    elif isinstance(a, GaussianUni):
-        value = bc_normal_uni(a, b)
-    elif isinstance(a, TruncGaussianMulti):
-        _require_seed(args)
-        cfg = QuadConfig(seed=_seed_of(args), mc_samples=args.mc_samples)
-        value = bc_truncated_mvn(a, b, cfg)
-    elif isinstance(a, GaussianMulti):
-        value = bc_mvn(a, b)
-    else:
+    if type(a) not in _DISTANCES:
         raise DomainError(f"unsupported distribution type {type(a).__name__}")
+    value = _DISTANCES[type(a)](a, b, args)
     _emit({
         "coefficient": value.coefficient,
         "distance": value.distance if math.isfinite(value.distance) else "inf",

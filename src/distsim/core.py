@@ -394,8 +394,7 @@ class MvnOverlapParams:
     """Multivariate analogue of :class:`OverlapParams`.
 
     ``m`` and ``S`` are the precision-weighted mean and combined covariance,
-    ``M`` the nonnegative mean-separation quadratic form, and ``Sigma_bar``
-    the average covariance.
+    and ``M`` the nonnegative mean-separation quadratic form.
     """
 
     l: np.ndarray
@@ -403,7 +402,6 @@ class MvnOverlapParams:
     m: np.ndarray
     S: np.ndarray
     M: float
-    Sigma_bar: np.ndarray
 
     def __post_init__(self):
         S = np.asarray(self.S, dtype=float)
@@ -412,7 +410,7 @@ class MvnOverlapParams:
             raise InvalidDistribution(f"S: {msg}")
         if self.M < 0:
             raise InvalidDistribution("M must be >= 0")
-        for name in ("l", "u", "m", "S", "Sigma_bar"):
+        for name in ("l", "u", "m", "S"):
             object.__setattr__(self, name,
                                _freeze(np.asarray(getattr(self, name), dtype=float)))
         object.__setattr__(self, "M", float(self.M))

@@ -148,8 +148,7 @@ def mvn_overlap_params(p: TruncGaussianMulti,
     m_vec = np.linalg.solve(prec_sum, prec_p @ p.mu + prec_q @ q.mu)
     d = p.mu - q.mu
     big_m = float(d @ np.linalg.solve(p.cov + q.cov, d))
-    sigma_bar = 0.5 * (p.cov + q.cov)
-    return MvnOverlapParams(lo, hi, m_vec, s_mat, max(big_m, 0.0), sigma_bar)
+    return MvnOverlapParams(lo, hi, m_vec, s_mat, max(big_m, 0.0))
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,21 @@ distance matrix between fitted distributions, either by
   dimension share the map), repeated over several iterations whose spread
   is part of the output.
 
+Each iteration reduces and fits every group once, then only compares. On
+the PCA path a group is decomposed at most twice (retention rule, then every
+score column a pair needs) and fitted once per column count; only a first
+group projected to match its pair is fitted inside the pair.
+
 Fits: multivariate normal with diagonal shrinkage; truncated multivariate
 normal assembled from per-column truncated fits plus the sample
 correlation; or per-column moment-matched discrete approximations whose
-product-form overlap factorizes across columns.
+product-form overlap factorizes across columns. Both normal fits start the
+shrinkage ladder at ``RunConfig.shrinkage`` and note any raise.
 
 Raw levels are compared by default; a log-return transform is opt-in.
-Everything is deterministic given the run seed, and pairwise comparisons
-can fan out over threads (``DISTSIM_THREADS``) without changing results.
+Everything is deterministic given the run seed. Pairwise comparisons (and
+the PCA path's fits) can fan out over ``DISTSIM_THREADS`` threads without
+changing results; a value that is not a positive integer is rejected.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -120,7 +128,7 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in ("pca", "jl"):
             raise DomainError(f"method must be 'pca' or 'jl', got {self.method!r}")
-        if self.fit not in ("mvn", "truncated", "discrete"):
+        if self.fit not in _FAMILIES:
             raise DomainError(f"unknown fit {self.fit!r}")
         if self.iterations < 1:
             raise DomainError("iterations must be >= 1")
@@ -267,15 +275,21 @@ def estimate_mvn(data: SampleMatrix, shrinkage: float = 0.0,
     avg_var = float(np.mean(np.diag(cov)))
     if avg_var <= 0.0:
         raise DegenerateData("all columns are constant")
-    eye = np.eye(cov.shape[0])
-    for lam in sorted({shrinkage, *[x for x in SHRINKAGE_LADDER if x >= shrinkage]}):
-        shrunk = (1.0 - lam) * cov + lam * avg_var * eye
+    shrunk, lam = _shrink(cov, avg_var, shrinkage, "covariance")
+    return GaussianMulti(mean, shrunk), lam
+
+
+def _shrink(mat: np.ndarray, scale: float, start: float,
+            what: str) -> tuple[np.ndarray, float]:
+    """``(1 - lam) * mat + lam * scale * I`` for the first well-conditioned
+    ``lam`` of the ladder from ``start`` up; returns the matrix and ``lam``."""
+    eye = np.eye(mat.shape[0])
+    for lam in sorted({start, *[x for x in SHRINKAGE_LADDER if x >= start]}):
+        shrunk = (1.0 - lam) * mat + lam * scale * eye
         eigvals = np.linalg.eigvalsh(shrunk)
         if eigvals.min() > 0 and eigvals.max() / eigvals.min() < MAX_COND:
-            return GaussianMulti(mean, shrunk), lam
-    raise DegenerateData(
-        "covariance stayed ill-conditioned through the shrinkage ladder"
-    )
+            return shrunk, lam
+    raise DegenerateData(f"{what} stayed ill-conditioned through the shrinkage ladder")
 
 
 def _trunc_moments(mu: float, sigma: float, lo: float, hi: float) -> tuple[float, float]:
@@ -346,33 +360,37 @@ def estimate_truncated_uni(column, bounds="observed_range") -> TruncGaussianUni:
     return TruncGaussianUni(s_mean, s_var, lo, hi)
 
 
-def _fit_truncated_mvn(matrix: np.ndarray, bounds) -> TruncGaussianMulti:
+def _fit_mvn(name: str, matrix: np.ndarray, cfg: RunConfig,
+             notes: list[str]) -> GaussianMulti:
+    dist, lam = estimate_mvn(SampleMatrix(matrix), cfg.shrinkage)
+    if lam > cfg.shrinkage:
+        notes.append(f"{name}: shrinkage raised to {lam}")
+    return dist
+
+
+def _fit_truncated_mvn(name: str, matrix: np.ndarray, cfg: RunConfig,
+                       notes: list[str]) -> TruncGaussianMulti:
     """Per-column truncated fits tied together by the sample correlation."""
     k = matrix.shape[1]
-    fits = [estimate_truncated_uni(matrix[:, j], bounds) for j in range(k)]
+    fits = [estimate_truncated_uni(matrix[:, j], cfg.bounds) for j in range(k)]
     sds = np.array([f.sigma for f in fits])
-    corr = np.corrcoef(matrix, rowvar=False)
-    corr = np.atleast_2d(corr)
-    for lam in SHRINKAGE_LADDER:
-        shrunk = (1.0 - lam) * corr + lam * np.eye(k)
-        eigvals = np.linalg.eigvalsh(shrunk)
-        if eigvals.min() > 0 and eigvals.max() / eigvals.min() < MAX_COND:
-            cov = shrunk * np.outer(sds, sds)
-            return TruncGaussianMulti(
-                np.array([f.mu for f in fits]), cov,
-                np.array([f.lower for f in fits]),
-                np.array([f.upper for f in fits]),
-            )
-    raise DegenerateData("sample correlation stayed singular through the ladder")
+    corr = np.atleast_2d(np.corrcoef(matrix, rowvar=False))
+    shrunk, lam = _shrink(corr, 1.0, cfg.shrinkage, "sample correlation")
+    if lam > cfg.shrinkage:
+        notes.append(f"{name}: shrinkage raised to {lam}")
+    return TruncGaussianMulti(
+        np.array([f.mu for f in fits]), shrunk * np.outer(sds, sds),
+        np.array([f.lower for f in fits]), np.array([f.upper for f in fits]),
+    )
 
 
-def _fit_discrete(matrix: np.ndarray, n_nodes: int):
+def _fit_discrete(name: str, matrix: np.ndarray, cfg: RunConfig, notes: list[str]):
     """Per-column moment-matched discrete approximations (empirical moments)."""
     blocks = []
     for j in range(matrix.shape[1]):
         col = matrix[:, j]
-        moms = np.array([np.mean(col ** p) for p in range(2 * n_nodes)])
-        blocks.append(moment_match(moms, n_nodes))
+        moms = np.array([np.mean(col ** p) for p in range(2 * cfg.n_nodes)])
+        blocks.append(moment_match(moms, cfg.n_nodes))
     return blocks
 
 
@@ -388,6 +406,17 @@ def _discrete_distance(blocks_a, blocks_b) -> float:
     return DivergenceValue.from_coefficient(min(rho, 1.0)).distance
 
 
+#: fit family -> (fit(name, matrix, cfg, notes), distance(a, b, quad) -> float).
+#: Estimators and distances are looked up as module globals at call time, so
+#: a wrapper set on this module (as ``bench/tracing.py`` does) sees every call.
+_FAMILIES = {
+    "mvn": (_fit_mvn, lambda a, b, quad: bc_mvn(a, b).distance),
+    "truncated": (_fit_truncated_mvn,
+                  lambda a, b, quad: bc_truncated_mvn(a, b, quad).distance),
+    "discrete": (_fit_discrete, lambda a, b, quad: _discrete_distance(a, b)),
+}
+
+
 def _log_returns(values: np.ndarray) -> np.ndarray:
     if np.any(values <= 0):
         raise DomainError("log returns need strictly positive levels")
@@ -395,41 +424,23 @@ def _log_returns(values: np.ndarray) -> np.ndarray:
 
 
 def _thread_count() -> int:
-    raw = os.environ.get(_ENV_THREADS, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    raw = os.environ.get(_ENV_THREADS) or "1"
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise DomainError(f"{_ENV_THREADS} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
-class _Fitter:
-    """Fits reduced matrices and computes distances per the run config."""
-
-    def __init__(self, cfg: RunConfig, quad_seed: int, notes: list[str]):
-        self.cfg = cfg
-        self.quad = QuadConfig(seed=quad_seed, mc_samples=cfg.mc_samples)
-        self.notes = notes
-
-    def fit(self, name: str, matrix: np.ndarray):
-        if self.cfg.fit == "mvn":
-            dist, lam = estimate_mvn(SampleMatrix(matrix), self.cfg.shrinkage)
-            if lam > self.cfg.shrinkage:
-                self.notes.append(f"{name}: shrinkage raised to {lam}")
-            return dist
-        if self.cfg.fit == "truncated":
-            return _fit_truncated_mvn(matrix, self.cfg.bounds)
-        return _fit_discrete(matrix, self.cfg.n_nodes)
-
-    def distance(self, fit_a, fit_b) -> float:
-        if self.cfg.fit == "mvn":
-            return bc_mvn(fit_a, fit_b).distance
-        if self.cfg.fit == "truncated":
-            return bc_truncated_mvn(fit_a, fit_b, self.quad).distance
-        return _discrete_distance(fit_a, fit_b)
+def _map(fn, items: list) -> list:
+    """``[fn(x) for x in items]``, in order, over ``DISTSIM_THREADS`` threads."""
+    threads = _thread_count()
+    if threads == 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
-def _jl_iteration(groups, cfg: RunConfig, k: int, iter_seed: np.random.SeedSequence,
-                  fitter: _Fitter) -> np.ndarray:
+def _jl_iteration(groups, k: int, iter_seed: np.random.SeedSequence,
+                  fit, distance) -> np.ndarray:
     """One projection round: one map per source dimension, one fit per group."""
     g = len(groups)
     maps: dict[int, int] = {}
@@ -441,66 +452,57 @@ def _jl_iteration(groups, cfg: RunConfig, k: int, iter_seed: np.random.SeedSeque
                 entropy=iter_seed.entropy, spawn_key=iter_seed.spawn_key + (d,)
             ).generate_state(1)[0]
         projected = jl_project(grp.data, k, maps[d])
-        fits.append(fitter.fit(grp.name, np.asarray(projected.values)))
+        fits.append(fit(grp.name, np.asarray(projected.values)))
 
     values = np.zeros((g, g))
     pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
-
-    def one(pair):
-        i, j = pair
-        return fitter.distance(fits[i], fits[j])
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, pairs))
-    else:
-        results = [one(p) for p in pairs]
-    for (i, j), dist in zip(pairs, results):
+    for (i, j), dist in zip(pairs, _map(lambda p: distance(fits[p[0]], fits[p[1]]),
+                                        pairs)):
         values[i, j] = values[j, i] = dist
     return values
 
 
 def _pca_iteration(groups, cfg: RunConfig, iter_seed: np.random.SeedSequence,
-                   fitter: _Fitter) -> np.ndarray:
+                   fit, distance, notes: list[str]) -> np.ndarray:
+    """Ordered pairs ``i -> j``: group j keeps as many leading components as
+    group i's retention rule does; if j has fewer, i's scores are projected
+    down to j's count with a per-pair seeded map."""
     g = len(groups)
-    reduced: list[tuple[np.ndarray, int]] = []
-    for grp in groups:
-        red, kept = pca_reduce(grp.data, significant_digits=cfg.sig_digits,
-                               return_truncated=True, transpose_if_needed=False)
-        reduced.append((np.asarray(red.values), kept))
+    kept = [pca_reduce(grp.data, significant_digits=cfg.sig_digits,
+                       return_truncated=True, transpose_if_needed=False)[1]
+            for grp in groups]
+    # every count a pair asks of a group is a prefix of one decomposition
+    scores = [np.asarray(pca_reduce(grp.data, component_count=max(kept),
+                                    return_truncated=True,
+                                    transpose_if_needed=False)[0].values)
+              for grp in groups]
 
-    values = np.zeros((g, g))
+    def columns(i: int, count: int) -> np.ndarray:
+        # a contiguous copy, like a decomposition returns, so fits see one layout
+        return np.ascontiguousarray(scores[i][:, :count])
+
     pairs = [(i, j) for i in range(g) for j in range(g) if i != j]
+    count = {(i, j): min(kept[i], scores[j].shape[1]) for i, j in pairs}
+    needed = sorted({(j, count[i, j]) for i, j in pairs}
+                    | {(i, kept[i]) for i, j in pairs if count[i, j] == kept[i]})
+    fits = dict(zip(needed, _map(lambda key: fit(groups[key[0]].name, columns(*key)),
+                                 needed)))
 
     def one(pair):
         i, j = pair
-        base_i, kept_i = reduced[i]
-        other, kept_j = pca_reduce(groups[j].data, component_count=kept_i,
-                                   return_truncated=True, transpose_if_needed=False)
-        other = np.asarray(other.values)
-        lead = base_i
-        if kept_j < kept_i:
-            seed = np.random.SeedSequence(
-                entropy=iter_seed.entropy,
-                spawn_key=iter_seed.spawn_key + (7, i, j),
-            ).generate_state(1)[0]
-            lead = np.asarray(jl_project(lead, kept_j, seed))
-            fitter.notes.append(
-                f"{groups[i].name}->{groups[j].name}: first group projected "
-                f"from {kept_i} to {kept_j} columns to match the second"
-            )
-        fit_i = fitter.fit(groups[i].name, lead)
-        fit_j = fitter.fit(groups[j].name, other)
-        return fitter.distance(fit_i, fit_j)
+        c = count[pair]
+        if c == kept[i]:
+            return distance(fits[i, c], fits[j, c])
+        seed = np.random.SeedSequence(
+            entropy=iter_seed.entropy, spawn_key=iter_seed.spawn_key + (7, i, j),
+        ).generate_state(1)[0]
+        notes.append(f"{groups[i].name}->{groups[j].name}: first group projected "
+                     f"from {kept[i]} to {c} columns to match the second")
+        lead = fit(groups[i].name, np.asarray(jl_project(columns(i, kept[i]), c, seed)))
+        return distance(lead, fits[j, c])
 
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, pairs))
-    else:
-        results = [one(p) for p in pairs]
-    for (i, j), dist in zip(pairs, results):
+    values = np.zeros((g, g))
+    for (i, j), dist in zip(pairs, _map(one, pairs)):
         values[i, j] = dist
     return values
 
@@ -542,14 +544,16 @@ def compare_groups(groups: Sequence[GroupDataset], cfg: RunConfig) -> Comparison
     iter_seeds = root.spawn(cfg.iterations)
     matrices = []
     argmins = []
+    fit_family, distance_family = _FAMILIES[cfg.fit]
+    fit = partial(fit_family, cfg=cfg, notes=notes)
     for it in range(cfg.iterations):
-        fitter = _Fitter(cfg, int(iter_seeds[it].generate_state(1)[0]), notes)
-        if cfg.method == "jl":
-            values = _jl_iteration(groups, cfg, k, iter_seeds[it], fitter)
-            sym = True
+        distance = partial(distance_family, quad=QuadConfig(
+            seed=int(iter_seeds[it].generate_state(1)[0]), mc_samples=cfg.mc_samples))
+        sym = cfg.method == "jl"
+        if sym:
+            values = _jl_iteration(groups, k, iter_seeds[it], fit, distance)
         else:
-            values = _pca_iteration(groups, cfg, iter_seeds[it], fitter)
-            sym = False
+            values = _pca_iteration(groups, cfg, iter_seeds[it], fit, distance, notes)
         matrices.append(DistanceMatrix(tuple(names), values, symmetric=sym))
         off = values + np.diag(np.full(len(names), math.inf))
         i, j = np.unravel_index(int(np.argmin(off)), off.shape)

@@ -222,7 +222,6 @@ class _Grid:
         cum = cumulative_trapezoid(self.joint, self.xs, axis=0, initial=0.0)
         # upper_tail[i, j] = integral of f(t, u_j) for t from xs[i] to b
         self.upper_tail = cum[-1][None, :] - cum
-        self.lower_tail = cum
 
     def integral2(self, weight: np.ndarray) -> float:
         inner = np.trapezoid(weight, self.xs, axis=1)
@@ -233,10 +232,22 @@ class _Grid:
 
 
 def _two_resolution(spec: JointDensitySpec, compute, n: int = GRID_POINTS):
+    """``compute`` on the fine grid and its distance to the half grid's value."""
     fine = compute(_Grid(spec, n))
     coarse = compute(_Grid(spec, n // 2 + 1))
     err = abs(fine - coarse)
     return fine, err
+
+
+def _marginal_overlap(spec: JointDensitySpec, cfg: QuadConfig) -> float:
+    """Overlap coefficient ``integral sqrt(f_X f_Y)`` of the two marginals."""
+    a, b = spec.support
+    rho = integrate_1d(
+        lambda t: math.sqrt(max(float(spec.f_x(t)), 0.0)
+                            * max(float(spec.f_y(t)), 0.0)),
+        a, b, cfg,
+    ).value
+    return DivergenceValue.from_coefficient(rho).coefficient
 
 
 def g_from_joint(spec: JointDensitySpec, h: ScalarFn, r: float, u: float,
@@ -293,23 +304,20 @@ def verify_stein(spec: JointDensitySpec, c: ScalarFn, c_prime: ScalarFn,
             f"E[h(Y)] = {e_h!r} but mu_Y = {spec.mu_y!r}; the identity assumes equality"
         )
 
-    def lhs_on(grid: _Grid) -> float:
+    def sides_on(grid: _Grid) -> np.ndarray:
         c_vals = _call1(c, grid.xs)
         h_vals = _call1(h, grid.xs)
         e_c = grid.expect(c_vals[:, None] * np.ones_like(grid.joint))
         e_hy = grid.expect(np.ones_like(grid.joint) * h_vals[None, :])
-        return grid.expect(c_vals[:, None] * h_vals[None, :]) - e_c * e_hy
-
-    def rhs_on(grid: _Grid) -> float:
+        lhs = grid.expect(c_vals[:, None] * h_vals[None, :]) - e_c * e_hy
         cp_vals = _call1(c_prime, grid.xs)
-        h_vals = _call1(h, grid.xs)
         _check_boundary(grid, h_vals, spec.mu_y)
         kernel = cp_vals[:, None] * (h_vals[None, :] - spec.mu_y) * grid.upper_tail
-        return grid.integral2(kernel)
+        return np.array([lhs, grid.integral2(kernel)])
 
-    lhs, err_l = _two_resolution(spec, lhs_on)
-    rhs, err_r = _two_resolution(spec, rhs_on)
-    return IdentityReport(lhs, rhs, abs(lhs - rhs), err_l + err_r)
+    fine, errs = _two_resolution(spec, sides_on)
+    lhs, rhs = float(fine[0]), float(fine[1])
+    return IdentityReport(lhs, rhs, abs(lhs - rhs), float(errs[0] + errs[1]))
 
 
 def _ratio_and_derivative(spec: JointDensitySpec):
@@ -349,16 +357,10 @@ def verify_distance_covariance(spec: JointDensitySpec,
 
     ``h`` defaults to the identity. Returns one report per equation.
     """
-    a, b = spec.support
     if h is None:
         h = lambda u: u  # noqa: E731 - identity default
     ratio, ratio_prime = _ratio_and_derivative(spec)
-    rho = integrate_1d(
-        lambda t: math.sqrt(max(float(spec.f_x(t)), 0.0)
-                            * max(float(spec.f_y(t)), 0.0)),
-        a, b, cfg,
-    ).value
-    rho = DivergenceValue.from_coefficient(rho).coefficient
+    rho = _marginal_overlap(spec, cfg)
 
     def pieces_on(grid: _Grid) -> np.ndarray:
         xs = grid.xs
@@ -378,9 +380,7 @@ def verify_distance_covariance(spec: JointDensitySpec,
         )
         return np.array([cov_c_h, cov_x_h, e_ratio_h, stein_term])
 
-    fine = pieces_on(_Grid(spec, GRID_POINTS))
-    coarse = pieces_on(_Grid(spec, GRID_POINTS // 2 + 1))
-    errs = np.abs(fine - coarse)
+    fine, errs = _two_resolution(spec, pieces_on)
     cov_c_h, cov_x_h, e_ratio_h, stein_term = fine
 
     lhs1, rhs1 = cov_c_h, cov_x_h - e_ratio_h + spec.mu_y * rho
@@ -429,17 +429,8 @@ def price_asset(spec: JointDensitySpec, c: ScalarFn, c_prime: ScalarFn,
         return np.array([direct, e_c * e_x + cov, e_c * e_x + stein_term,
                          e_cr * e_x, cov_fx, e_ratio_x, restricted_direct])
 
-    fine = routes_on(_Grid(spec, GRID_POINTS))
-    coarse = routes_on(_Grid(spec, GRID_POINTS // 2 + 1))
-    errs = np.abs(fine - coarse)
-
-    a, b = spec.support
-    rho = integrate_1d(
-        lambda t: math.sqrt(max(float(spec.f_x(t)), 0.0)
-                            * max(float(spec.f_y(t)), 0.0)),
-        a, b, cfg,
-    ).value
-    rho = DivergenceValue.from_coefficient(rho).coefficient
+    fine, errs = _two_resolution(spec, routes_on)
+    rho = _marginal_overlap(spec, cfg)
 
     routes = (float(fine[0]), float(fine[1]), float(fine[2]))
     max_res = max(abs(routes[0] - routes[1]), abs(routes[0] - routes[2]),

@@ -5,6 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from distsim import pipeline
+from distsim.cli import main
+from distsim.quadrature import QuadConfig
+from distsim.reduce import jl_project, pca_reduce
 from distsim import (
     DegenerateData,
     DimensionMismatch,
@@ -286,3 +290,148 @@ class TestCompareGroupsPca:
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
         with pytest.raises(DomainError):
             RunConfig.from_dict({"method": "pca", "mystery": 1})
+
+
+def mixed_width_groups(seed, widths=(6, 3, 5), t=60):
+    """Correlated normal groups of different widths, so that on the PCA path
+    a wide group's retained count can exceed a narrow group's columns."""
+    rng = np.random.default_rng(seed)
+    groups = []
+    for g, w in enumerate(widths):
+        mixing = rng.normal(0.0, 0.5, size=(w, w)) + np.eye(w)
+        data = rng.standard_normal((t, w)) @ mixing + rng.normal(0.0, 1.0, size=w)
+        groups.append(GroupDataset(f"G{g}", SampleMatrix(data)))
+    return groups
+
+
+def near_collinear_groups(seed, t=120):
+    """``N`` repeats three columns with 1e-7 noise; ``W`` is well conditioned."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((t, 3))
+    near = np.hstack([base, base + 1e-7 * rng.standard_normal((t, 3))])
+    return [GroupDataset("N", SampleMatrix(near)),
+            GroupDataset("W", SampleMatrix(rng.standard_normal((t, 6))))]
+
+
+class TestShrinkageLadder:
+    @pytest.mark.parametrize("fit", ["mvn", "truncated"])
+    def test_near_collinear_group_raises_shrinkage_with_note(self, fit):
+        cfg = RunConfig(method="jl", k=5, fit=fit, seed=3, mc_samples=2000)
+        res = compare_groups(near_collinear_groups(21), cfg)
+        raised = [n for n in res.notes if "shrinkage raised" in n]
+        assert [n.split(":")[0] for n in raised] == ["N"]
+        assert np.isfinite(res.matrices[0].values).all()
+
+    def test_truncated_fit_starts_at_configured_shrinkage(self):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((400, 3)) @ np.array([[1.0, 0.6, 0.2],
+                                                      [0.0, 1.0, 0.5],
+                                                      [0.0, 0.0, 1.0]])
+        notes = []
+        cfg = RunConfig(method="jl", k=3, fit="truncated", shrinkage=0.25)
+        fit = pipeline._fit_truncated_mvn("X", x, cfg, notes)
+        sds = np.sqrt(np.diag(fit.cov))
+        corr = np.corrcoef(x, rowvar=False)
+        off = ~np.eye(3, dtype=bool)
+        assert fit.cov[off] / np.outer(sds, sds)[off] == pytest.approx(0.75 * corr[off])
+        assert notes == []
+
+
+class TestThreadsVariable:
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
+    def test_bad_value_rejected(self, raw, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("DISTSIM_THREADS", raw)
+        groups = synthetic_groups(seed=30, t=40, n=4)
+        with pytest.raises(DomainError, match="DISTSIM_THREADS"):
+            compare_groups(groups, RunConfig(method="jl", k=2, seed=1))
+        paths = []
+        for g in groups:
+            path = tmp_path / f"{g.name}.csv"
+            write_csv(path, g.data.labels, g.data.values.tolist())
+            paths.append(str(path))
+        assert main(["compare", *paths, "--method", "jl", "--k", "2"]) == 1
+        assert "DISTSIM_THREADS" in capsys.readouterr().err
+
+
+class TestThreadDeterminism:
+    @pytest.mark.parametrize("args", [
+        ["--method", "pca", "--sig-digits", "6", "--fit", "mvn"],
+        ["--method", "pca", "--sig-digits", "6", "--fit", "discrete"],
+        ["--method", "jl", "--k", "2", "--fit", "truncated", "--mc-samples", "2000"],
+    ], ids=["mvn-pca", "discrete-pca", "truncated-jl"])
+    def test_summary_identical_at_one_and_two_threads(self, args, monkeypatch,
+                                                      tmp_path, capsys):
+        paths = []
+        for g in mixed_width_groups(31):
+            path = tmp_path / f"{g.name}.csv"
+            with open(path, "w") as fh:
+                fh.write(",".join(g.data.labels) + "\n")
+                for row in g.data.values:
+                    fh.write(",".join(repr(float(x)) for x in row) + "\n")
+            paths.append(str(path))
+        outputs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DISTSIM_THREADS", threads)
+            out = tmp_path / f"out{threads}"
+            assert main(["compare", *paths, *args, "--seed", "5",
+                         "--out", str(out)]) == 0
+            outputs[threads] = [(out / f).read_bytes()
+                                for f in ("summary.json", "matrix_iter0.csv")]
+        capsys.readouterr()
+        assert outputs["1"] == outputs["2"]
+        if "pca" in args:
+            assert b"projected" in outputs["1"][0]
+
+
+class TestPcaFitOnce:
+    @pytest.mark.parametrize("fit", ["mvn", "discrete"])
+    def test_matches_per_pair_decomposition(self, fit):
+        groups = mixed_width_groups(32)
+        cfg = RunConfig(method="pca", sig_digits=6, fit=fit, seed=7)
+        matrix = compare_groups(groups, cfg).matrices[0].values
+        fit_fn, distance_fn = pipeline._FAMILIES[fit]
+        iter_seed = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+        quad = QuadConfig(seed=int(iter_seed.generate_state(1)[0]))
+        projected = 0
+        for i, j in [(0, 1), (1, 0), (0, 2), (2, 1)]:
+            base, kept_i = pca_reduce(groups[i].data, significant_digits=cfg.sig_digits,
+                                      return_truncated=True, transpose_if_needed=False)
+            other, kept_j = pca_reduce(groups[j].data, component_count=kept_i,
+                                       return_truncated=True, transpose_if_needed=False)
+            lead = np.asarray(base.values)
+            if kept_j < kept_i:
+                projected += 1
+                seed = np.random.SeedSequence(
+                    entropy=iter_seed.entropy, spawn_key=iter_seed.spawn_key + (7, i, j),
+                ).generate_state(1)[0]
+                lead = np.asarray(jl_project(lead, kept_j, seed))
+            fit_i = fit_fn(groups[i].name, lead, cfg, [])
+            fit_j = fit_fn(groups[j].name, np.asarray(other.values), cfg, [])
+            assert distance_fn(fit_i, fit_j, quad) == matrix[i, j]
+        assert projected > 0
+
+    def test_each_group_decomposed_and_fitted_once(self, monkeypatch):
+        groups = mixed_width_groups(33, widths=(6, 3, 5, 4))
+        cfg = RunConfig(method="pca", sig_digits=6, fit="mvn", seed=8)
+        kept = [pca_reduce(g.data, significant_digits=cfg.sig_digits,
+                           return_truncated=True, transpose_if_needed=False)[1]
+                for g in groups]
+        pairs = [(i, j) for i in range(len(groups)) for j in range(len(groups)) if i != j]
+        count = {(i, j): min(kept[i], groups[j].data.n_vars) for i, j in pairs}
+        projected = sum(count[p] < kept[p[0]] for p in pairs)
+        fit_keys = ({(j, count[i, j]) for i, j in pairs}
+                    | {(i, kept[i]) for i, j in pairs if count[i, j] == kept[i]})
+        calls = {"pca_reduce": 0, "estimate_mvn": 0}
+        for name in calls:
+            original = getattr(pipeline, name)
+
+            def counted(*a, _name=name, _fn=original, **kw):
+                calls[_name] += 1
+                return _fn(*a, **kw)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        compare_groups(groups, cfg)
+        assert projected > 0
+        assert calls["pca_reduce"] <= 2 * len(groups)
+        assert calls["estimate_mvn"] <= len(fit_keys) + projected
+        assert calls["estimate_mvn"] < 2 * len(pairs)
