@@ -21,7 +21,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import threading
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,6 +69,36 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def _is_finite_vector(v: np.ndarray) -> bool:
     return v.ndim == 1 and np.all(np.isfinite(v))
+
+
+class ObjectMemo:
+    """Values derived from one distribution object, kept while it lives.
+
+    Entries are keyed on the object's identity through a weak reference
+    (every distribution type is ``eq=False``), so they die with the object
+    and two equal-valued objects never share one. A lock guards the table;
+    ``compute`` runs outside it, so threads racing to one key each compute
+    it and the first value stored is returned to all of them. Memoise only
+    deterministic values: then a hit returns the bits a recomputation would.
+    """
+
+    def __init__(self):
+        self._table: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        self._lock = threading.Lock()
+
+    def get(self, obj, key, compute: Callable[[], object]):
+        """``compute()`` for ``(obj, key)``, or the value remembered for it."""
+        with self._lock:
+            entry = self._table.get(obj)
+            if entry is not None and key in entry:
+                return entry[key]
+        value = compute()
+        with self._lock:
+            return self._table.setdefault(obj, {}).setdefault(key, value)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,14 +372,19 @@ class TruncGaussianMulti:
         for name in ("mu", "cov", "lower", "upper"):
             object.__setattr__(self, name,
                                _freeze(np.asarray(getattr(self, name), dtype=float)))
+        # built once, so every pair sees the same object and its memoised terms
+        object.__setattr__(self, "_parent", GaussianMulti(self.mu, self.cov))
 
     @property
     def k(self) -> int:
         return int(self.mu.size)
 
     def parent(self) -> GaussianMulti:
-        """The untruncated multivariate normal with the same parameters."""
-        return GaussianMulti(self.mu, self.cov)
+        """The untruncated multivariate normal with the same parameters.
+
+        The same object on every call, for the lifetime of this instance.
+        """
+        return self._parent
 
     def to_dict(self) -> dict:
         return {

@@ -13,6 +13,15 @@ never through raw determinants, so well-conditioned but large-entry
 covariances cannot overflow. Covariances with condition number above 1e12
 are rejected with :class:`NotPositiveDefinite` rather than silently
 regularized (shrinkage belongs to the estimation layer, not here).
+
+Terms that depend on one distribution only are computed once per object
+and remembered while it lives: :func:`bc_mvn` keeps each operand's
+covariance eigenvalues, and a truncated normal's :meth:`parent` is one
+object whose box normaliser :func:`~distsim.quadrature.mvn_rect_prob`
+remembers. A remembered term is the value a recomputation gives, bit for
+bit, so each group's log-determinant and box normaliser cost one
+computation per fit, not one per pair. Only the average covariance's
+eigenvalues and the overlap box stay per pair.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from .core import (
     GaussianMulti,
     GaussianUni,
     MvnOverlapParams,
+    ObjectMemo,
     OverlapParams,
     QuadResult,
     TruncGaussianMulti,
@@ -52,14 +62,22 @@ __all__ = [
 #: covariance condition number beyond which distances refuse to evaluate.
 MAX_CONDITION = 1e12
 
+#: covariance eigenvalues per normal object, kept while the object lives.
+_EIGVALS = ObjectMemo()
 
-def _log_eigvals(cov: np.ndarray, label: str) -> np.ndarray:
-    vals = np.linalg.eigvalsh(cov)
+
+def _log_det(vals: np.ndarray, label: str) -> float:
+    """Sum of the eigenvalue logarithms, after the conditioning check."""
     if vals.min() <= 0 or vals.max() / vals.min() > MAX_CONDITION:
         raise NotPositiveDefinite(
             f"{label} is numerically singular (condition number above {MAX_CONDITION:.0e})"
         )
-    return np.log(vals)
+    return float(np.log(vals).sum())
+
+
+def _cov_log_det(dist: GaussianMulti, label: str) -> float:
+    return _log_det(_EIGVALS.get(dist, "cov", lambda: np.linalg.eigvalsh(dist.cov)),
+                    label)
 
 
 def bc_normal_uni(p: GaussianUni, q: GaussianUni) -> DivergenceValue:
@@ -78,17 +96,18 @@ def bc_mvn(p: GaussianMulti, q: GaussianMulti) -> DivergenceValue:
 
     ``D = 1/8 d^T S^-1 d + 1/2 ln(det S / sqrt(det Sp det Sq))`` with
     ``S = (Sp + Sq) / 2`` and ``d`` the mean difference; the log-det ratio
-    is evaluated through eigenvalue log-sums.
+    is evaluated through eigenvalue log-sums. Each operand's eigenvalues
+    are computed once per object; only those of ``S`` are per pair.
     """
     if p.k != q.k:
         raise DimensionMismatch(f"dimensions differ: {p.k} vs {q.k}")
     avg = 0.5 * (p.cov + q.cov)
-    log_avg = _log_eigvals(avg, "average covariance")
-    log_p = _log_eigvals(p.cov, "first covariance")
-    log_q = _log_eigvals(q.cov, "second covariance")
+    log_avg = _log_det(np.linalg.eigvalsh(avg), "average covariance")
+    log_p = _cov_log_det(p, "first covariance")
+    log_q = _cov_log_det(q, "second covariance")
     d = p.mu - q.mu
     quad = 0.125 * float(d @ np.linalg.solve(avg, d))
-    logdet = 0.5 * (float(log_avg.sum()) - 0.5 * (float(log_p.sum()) + float(log_q.sum())))
+    logdet = 0.5 * (log_avg - 0.5 * (log_p + log_q))
     return DivergenceValue.from_distance(quad + logdet)
 
 
@@ -105,7 +124,18 @@ def overlap_params(p: TruncGaussianUni, q: TruncGaussianUni) -> OverlapParams | 
 
 
 def _phi_interval(mu: float, sigma: float, lo: float, hi: float) -> float:
-    return std_normal_cdf((hi - mu) / sigma) - std_normal_cdf((lo - mu) / sigma)
+    """Normal mass of ``(lo, hi)``, taken in the tail the interval lies in.
+
+    Above the mean ``Phi(b) - Phi(a)`` is a difference of numbers near 1
+    that cancels to 0 past about 8 standard deviations, so the mirrored
+    ``Phi(-a) - Phi(-b)`` is used there. Beyond about 37 standard deviations
+    ``ndtr`` itself underflows in float64 and the mass reads 0.
+    """
+    a = (lo - mu) / sigma
+    b = (hi - mu) / sigma
+    if a > 0:
+        return std_normal_cdf(-a) - std_normal_cdf(-b)
+    return std_normal_cdf(b) - std_normal_cdf(a)
 
 
 def bc_truncated_uni(p: TruncGaussianUni, q: TruncGaussianUni) -> DivergenceValue:

@@ -14,10 +14,12 @@ distance matrix between fitted distributions, either by
   dimension share the map), repeated over several iterations whose spread
   is part of the output.
 
-Each iteration reduces and fits every group once, then only compares. On
-the PCA path a group is decomposed at most twice (retention rule, then every
-score column a pair needs) and fitted once per column count; only a first
-group projected to match its pair is fitted inside the pair.
+Each random-projection iteration reduces and fits every group once, then
+only compares. The PCA path does its iteration-invariant work once per run:
+a group is decomposed at most twice (retention rule, then every score
+column a pair needs) and fitted once per column count; each iteration then
+only fits a first group projected to match its pair, inside the pair, and
+compares.
 
 Fits: multivariate normal with diagonal shrinkage; truncated multivariate
 normal assembled from per-column truncated fits plus the sample
@@ -315,8 +317,8 @@ def estimate_truncated_uni(column, bounds="observed_range") -> TruncGaussianUni:
     ``bounds`` is ``"observed_range"`` (data min/max) or a fixed
     ``(lower, upper)`` pair, possibly infinite. The location/scale pair is
     solved so the truncated distribution reproduces the sample mean and
-    variance to 1e-6; if the solver fails, the untruncated sample moments
-    are used with a warning.
+    variance to 1e-6; if the solver fails, or raises an ``ArithmeticError``
+    on the way, the untruncated sample moments are used with a warning.
     """
     x = np.asarray(column, dtype=float).ravel()
     if x.size < 10:
@@ -347,9 +349,14 @@ def estimate_truncated_uni(column, bounds="observed_range") -> TruncGaussianUni:
         m, v = _trunc_moments(mu, sigma, lo, hi)
         return [(m - s_mean) / scale, (v - s_var) / s_var]
 
-    sol = optimize.root(residual, x0=[s_mean, math.log(scale)], method="hybr",
-                        options={"xtol": 1e-12})
-    if sol.success and max(abs(r) for r in residual(sol.x)) < 1e-6:
+    try:
+        sol = optimize.root(residual, x0=[s_mean, math.log(scale)], method="hybr",
+                            options={"xtol": 1e-12})
+        solved = sol.success and max(abs(r) for r in residual(sol.x)) < 1e-6
+    except ArithmeticError:
+        # the solver wandered where the truncated mass underflows to 0
+        solved = False
+    if solved:
         mu, sigma = float(sol.x[0]), math.exp(float(sol.x[1]))
         return TruncGaussianUni(mu, sigma * sigma, lo, hi)
     warnings.warn(
@@ -439,8 +446,8 @@ def _map(fn, items: list) -> list:
         return list(pool.map(fn, items))
 
 
-def _jl_iteration(groups, k: int, iter_seed: np.random.SeedSequence,
-                  fit, distance) -> np.ndarray:
+def _jl_iteration(groups, k: int, fit, iter_seed: np.random.SeedSequence,
+                  distance) -> np.ndarray:
     """One projection round: one map per source dimension, one fit per group."""
     g = len(groups)
     maps: dict[int, int] = {}
@@ -462,11 +469,15 @@ def _jl_iteration(groups, k: int, iter_seed: np.random.SeedSequence,
     return values
 
 
-def _pca_iteration(groups, cfg: RunConfig, iter_seed: np.random.SeedSequence,
-                   fit, distance, notes: list[str]) -> np.ndarray:
-    """Ordered pairs ``i -> j``: group j keeps as many leading components as
+def _pca_path(groups, cfg: RunConfig, fit, notes: list[str]):
+    """Decompose and fit once; return the per-iteration step.
+
+    Ordered pairs ``i -> j``: group j keeps as many leading components as
     group i's retention rule does; if j has fewer, i's scores are projected
-    down to j's count with a per-pair seeded map."""
+    down to j's count with a per-pair seeded map. Only that projection and
+    the distances depend on the iteration, so the retention counts, the
+    score decompositions and the ``(group, count)`` fits are made here once.
+    """
     g = len(groups)
     kept = [pca_reduce(grp.data, significant_digits=cfg.sig_digits,
                        return_truncated=True, transpose_if_needed=False)[1]
@@ -488,23 +499,27 @@ def _pca_iteration(groups, cfg: RunConfig, iter_seed: np.random.SeedSequence,
     fits = dict(zip(needed, _map(lambda key: fit(groups[key[0]].name, columns(*key)),
                                  needed)))
 
-    def one(pair):
-        i, j = pair
-        c = count[pair]
-        if c == kept[i]:
-            return distance(fits[i, c], fits[j, c])
-        seed = np.random.SeedSequence(
-            entropy=iter_seed.entropy, spawn_key=iter_seed.spawn_key + (7, i, j),
-        ).generate_state(1)[0]
-        notes.append(f"{groups[i].name}->{groups[j].name}: first group projected "
-                     f"from {kept[i]} to {c} columns to match the second")
-        lead = fit(groups[i].name, np.asarray(jl_project(columns(i, kept[i]), c, seed)))
-        return distance(lead, fits[j, c])
+    def iteration(iter_seed: np.random.SeedSequence, distance) -> np.ndarray:
+        def one(pair):
+            i, j = pair
+            c = count[pair]
+            if c == kept[i]:
+                return distance(fits[i, c], fits[j, c])
+            seed = np.random.SeedSequence(
+                entropy=iter_seed.entropy, spawn_key=iter_seed.spawn_key + (7, i, j),
+            ).generate_state(1)[0]
+            notes.append(f"{groups[i].name}->{groups[j].name}: first group projected "
+                         f"from {kept[i]} to {c} columns to match the second")
+            lead = fit(groups[i].name,
+                       np.asarray(jl_project(columns(i, kept[i]), c, seed)))
+            return distance(lead, fits[j, c])
 
-    values = np.zeros((g, g))
-    for (i, j), dist in zip(pairs, _map(one, pairs)):
-        values[i, j] = dist
-    return values
+        values = np.zeros((g, g))
+        for (i, j), dist in zip(pairs, _map(one, pairs)):
+            values[i, j] = dist
+        return values
+
+    return iteration
 
 
 def compare_groups(groups: Sequence[GroupDataset], cfg: RunConfig) -> ComparisonResult:
@@ -546,14 +561,15 @@ def compare_groups(groups: Sequence[GroupDataset], cfg: RunConfig) -> Comparison
     argmins = []
     fit_family, distance_family = _FAMILIES[cfg.fit]
     fit = partial(fit_family, cfg=cfg, notes=notes)
+    sym = cfg.method == "jl"
+    if sym:
+        iteration = partial(_jl_iteration, groups, k, fit)
+    else:
+        iteration = _pca_path(groups, cfg, fit, notes)
     for it in range(cfg.iterations):
         distance = partial(distance_family, quad=QuadConfig(
             seed=int(iter_seeds[it].generate_state(1)[0]), mc_samples=cfg.mc_samples))
-        sym = cfg.method == "jl"
-        if sym:
-            values = _jl_iteration(groups, k, iter_seeds[it], fit, distance)
-        else:
-            values = _pca_iteration(groups, cfg, iter_seeds[it], fit, distance, notes)
+        values = iteration(iter_seeds[it], distance)
         matrices.append(DistanceMatrix(tuple(names), values, symmetric=sym))
         off = values + np.diag(np.full(len(names), math.inf))
         i, j = np.unravel_index(int(np.argmin(off)), off.shape)

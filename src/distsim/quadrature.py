@@ -17,6 +17,13 @@ Four entry points, all pure and reproducible:
 Randomized routines derive every replicate stream deterministically from
 ``QuadConfig.seed`` (same seed, same bits; replicates could be evaluated in
 parallel without changing results).
+
+:func:`mvn_rect_prob` remembers each result per distribution object, keyed
+on the exact bound bytes and the (frozen) ``QuadConfig``, for as long as
+that object lives. Same seed means same bits, so a remembered result is
+the one a recomputation would give; the pipeline thereby computes a
+group's own box normaliser once per iteration rather than once per pair.
+Nothing is shared between distinct objects, however equal their values.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 from scipy.stats import t as _student_t
 
-from .core import GaussianMulti, QuadResult, ScalarFn, ScalarFn2
+from .core import GaussianMulti, ObjectMemo, QuadResult, ScalarFn, ScalarFn2
 from .errors import DimensionMismatch, DomainError, NonConvergence, NotPositiveDefinite
 
 __all__ = ["QuadConfig", "std_normal_cdf", "integrate_1d", "mvn_rect_prob",
@@ -38,6 +45,9 @@ __all__ = ["QuadConfig", "std_normal_cdf", "integrate_1d", "mvn_rect_prob",
 
 #: replicate count for randomized quasi-Monte Carlo error estimation.
 MC_REPLICATES = 12
+
+#: box probabilities per distribution object, keyed on (lower, upper, cfg).
+_BOX_MEMO = ObjectMemo()
 
 
 @dataclass(frozen=True)
@@ -117,7 +127,9 @@ def mvn_rect_prob(dist: GaussianMulti, lower, upper,
     sampling happens.
 
     Returns a value clipped to ``[0, 1]``; ``error_estimate`` is the 99%
-    half-width across replicates.
+    half-width across replicates. The result is remembered for ``dist``
+    (keyed on the bound bytes and ``cfg``) while ``dist`` lives, so a
+    repeated box returns the same result, ``evaluations`` included.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -128,7 +140,14 @@ def mvn_rect_prob(dist: GaussianMulti, lower, upper,
         )
     if not np.all(lower < upper):
         raise DomainError("each lower bound must be < the matching upper bound")
+    return _BOX_MEMO.get(dist, (lower.tobytes(), upper.tobytes(), cfg),
+                         lambda: _box_prob(dist, lower, upper, cfg))
 
+
+def _box_prob(dist: GaussianMulti, lower: np.ndarray, upper: np.ndarray,
+              cfg: QuadConfig) -> QuadResult:
+    """:func:`mvn_rect_prob` for validated bounds, computed afresh."""
+    k = dist.k
     chol = _cholesky(np.asarray(dist.cov, dtype=float))
     a = lower - dist.mu
     b = upper - dist.mu

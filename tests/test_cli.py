@@ -186,6 +186,24 @@ class TestCompare:
         mat = out["iterations"][0]["matrix"]
         assert len(mat) == 3 and len(mat[0]) == 3
 
+    def test_truncated_pca_falls_back_instead_of_raising(self, tmp_path, capsys):
+        # on PCA scores the truncated moment solve wanders where the truncated
+        # mass underflows; the column then takes its sample moments with a
+        # warning. 2,000 samples keep the wide box probabilities quick.
+        rng = np.random.default_rng(1)
+        paths = []
+        for g in range(3):
+            path = tmp_path / f"g{g}.csv"
+            SampleMatrix(rng.standard_normal((250, 40))).to_csv(path)
+            paths.append(str(path))
+        out = tmp_path / "run"
+        with pytest.warns(UserWarning, match="falling back"):
+            code = main(["compare", *paths, "--method", "pca", "--fit", "truncated",
+                         "--seed", "1", "--mc-samples", "2000", "--out", str(out)])
+        assert code == 0
+        matrix = json.loads((out / "summary.json").read_text())["iterations"][0]["matrix"]
+        assert all(isinstance(x, float) and math.isfinite(x) for row in matrix for x in row)
+
     def test_names_mismatch_rejected(self, group_csvs, capsys):
         assert main(["compare", *group_csvs, "--method", "jl", "--k", "2",
                      "--names", "a,b", "--seed", "0"]) == 1

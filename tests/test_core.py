@@ -1,7 +1,11 @@
 """Domain type invariants, validation reporting, and serialization."""
 
+import gc
 import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from distsim import (
     to_json,
     validate,
 )
+from distsim.core import ObjectMemo
 
 
 class TestDiscreteDist:
@@ -165,3 +170,56 @@ class TestValidateAndMisc:
     def test_quad_result_error_nonnegative(self):
         with pytest.raises(InvalidDistribution):
             QuadResult(1.0, -0.1, 10)
+
+
+class TestObjectMemo:
+    def test_entries_die_with_their_object(self):
+        memo = ObjectMemo()
+        a, b = (GaussianMulti([0.0], [[1.0]]) for _ in range(2))
+        assert memo.get(a, "x", lambda: 1) == 1
+        assert memo.get(a, "x", lambda: 2) == 1
+        # equal values, distinct objects: nothing shared
+        assert memo.get(b, "x", lambda: 3) == 3
+        del a
+        gc.collect()
+        assert len(memo) == 1
+
+    def test_racing_threads_all_see_the_first_stored_value(self):
+        memo = ObjectMemo()
+        objs = [GaussianMulti([0.0], [[1.0]]) for _ in range(4)]
+        keys = range(8)
+        seen = []
+        lock = threading.Lock()
+        start = threading.Barrier(8, timeout=30)
+
+        def compute():
+            time.sleep(1e-4)  # widen the window between a miss and its store
+            return object()
+
+        def work():
+            start.wait()
+            for obj in objs:
+                for key in keys:
+                    value = memo.get(obj, key, compute)
+                    with lock:
+                        seen.append((id(obj), key, value))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 8 * len(objs) * len(keys)
+        by_key = {}
+        for obj_id, key, value in seen:
+            by_key.setdefault((obj_id, key), set()).add(id(value))
+        # a lost update would hand two threads different values for one key
+        assert len(by_key) == len(objs) * len(keys)
+        assert all(len(ids) == 1 for ids in by_key.values())
+        assert len(memo) == len(objs)

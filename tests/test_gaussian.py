@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from distsim import (
     DimensionMismatch,
@@ -185,6 +186,99 @@ class TestTruncatedUni:
         p = TruncGaussianUni(0.3, 1.4, -0.8, 2.0)
         q = TruncGaussianUni(-0.2, 0.7, -1.5, 1.1)
         assert bc_truncated_uni(p, q).distance == bc_truncated_uni(q, p).distance
+
+
+class TestTruncatedUniTails:
+    """Boxes deep in either tail against scipy ``truncnorm`` plus quadrature.
+
+    The sweep stops at 30 standard deviations: beyond about 37, float64
+    ``ndtr`` underflows to 0 and the masses read 0 on either side, a regime
+    that needs a ``log_ndtr`` core.
+    """
+
+    @staticmethod
+    def truncnorm_pdf(t: TruncGaussianUni):
+        a, b = (t.lower - t.mu) / t.sigma, (t.upper - t.mu) / t.sigma
+        return stats.truncnorm(a, b, loc=t.mu, scale=t.sigma).pdf
+
+    @pytest.mark.parametrize("lo, hi", [
+        (29.0, 30.0), (20.0, 21.5), (10.0, 11.0), (8.0, 9.0), (3.0, 5.0),
+        (-30.0, -29.0), (-21.5, -20.0), (-11.0, -10.0), (-9.0, -8.0), (-5.0, -3.0),
+        (-0.5, 0.5),
+    ])
+    @pytest.mark.parametrize("mu_q, var_q", [(0.2, 1.0), (-0.3, 1.6)])
+    def test_against_scipy_truncnorm(self, lo, hi, mu_q, var_q):
+        p = TruncGaussianUni(0.0, 1.0, lo, hi)
+        q = TruncGaussianUni(mu_q, var_q, lo, hi)
+        pdf_p, pdf_q = self.truncnorm_pdf(p), self.truncnorm_pdf(q)
+        coef, _ = integrate.quad(lambda x: math.sqrt(pdf_p(x) * pdf_q(x)), lo, hi,
+                                 epsabs=0.0, epsrel=1e-13, limit=200)
+        closed = bc_truncated_uni(p, q).distance
+        assert math.isfinite(closed)
+        assert closed == pytest.approx(-math.log(coef), rel=1e-7, abs=1e-13)
+
+    def test_upper_tail_no_longer_cancels(self):
+        v = bc_truncated_uni(TruncGaussianUni(0, 1, 10, 11),
+                             TruncGaussianUni(0.2, 1, 10, 11))
+        assert v.distance == pytest.approx(4.7999e-5, rel=1e-4)
+
+    def test_mirror_image_gives_same_distance(self):
+        p, q = TruncGaussianUni(0, 1, 12, 13), TruncGaussianUni(0.3, 1.2, 12, 14)
+        mp, mq = (TruncGaussianUni(-t.mu, t.sigma2, -t.upper, -t.lower) for t in (p, q))
+        assert bc_truncated_uni(p, q).distance == pytest.approx(
+            bc_truncated_uni(mp, mq).distance, rel=1e-12)
+        check = truncation_inequality_holds_uni(p, q)
+        assert check.lhs > 0 and check.rhs > 0
+
+
+def copy_trunc(t: TruncGaussianMulti) -> TruncGaussianMulti:
+    return TruncGaussianMulti(t.mu.copy(), t.cov.copy(), t.lower.copy(), t.upper.copy())
+
+
+class TestPairInvariantMemo:
+    """Per-object terms are remembered, and a remembered term keeps the bits."""
+
+    @staticmethod
+    def truncated_fits(seed, count=3, k=3):
+        rng = np.random.default_rng(seed)
+        return [TruncGaussianMulti(rng.uniform(-0.3, 0.3, k), random_pd(rng, k),
+                                   rng.uniform(-2.0, -1.0, k), rng.uniform(1.0, 2.0, k))
+                for _ in range(count)]
+
+    def test_parent_is_one_object(self):
+        (p,) = self.truncated_fits(41, count=1)
+        assert p.parent() is p.parent()
+        assert np.array_equal(p.parent().cov, p.cov)
+
+    def test_truncated_terms_match_fresh_copies(self):
+        p, q, r = self.truncated_fits(42)
+        pairs = [(p, q), (p, r), (q, r), (r, p)]
+        first = [truncated_mvn_terms(a, b, CFG) for a, b in pairs]
+        again = [truncated_mvn_terms(a, b, CFG) for a, b in pairs]
+        fresh = [truncated_mvn_terms(copy_trunc(a), copy_trunc(b), CFG) for a, b in pairs]
+        assert first == again == fresh
+        assert [bc_truncated_mvn(a, b, CFG).distance for a, b in pairs] == [
+            t.distance for t in fresh]
+
+    def test_bc_mvn_matches_fresh_copies(self):
+        rng = np.random.default_rng(43)
+        dists = [GaussianMulti(rng.uniform(-1, 1, 4), random_pd(rng, 4)) for _ in range(3)]
+        pairs = [(a, b) for a in dists for b in dists if a is not b]
+        first = [bc_mvn(a, b).distance for a, b in pairs]
+        again = [bc_mvn(a, b).distance for a, b in pairs]
+        fresh = [bc_mvn(GaussianMulti(a.mu.copy(), a.cov.copy()),
+                        GaussianMulti(b.mu.copy(), b.cov.copy())).distance
+                 for a, b in pairs]
+        assert first == again == fresh
+
+    def test_conditioning_label_follows_operand_position(self):
+        bad = GaussianMulti([0, 0], np.diag([1.0, 1e-13]))
+        good = GaussianMulti([0, 0], np.eye(2))
+        for _ in range(2):  # the second round reads remembered eigenvalues
+            with pytest.raises(NotPositiveDefinite, match="first covariance"):
+                bc_mvn(bad, good)
+            with pytest.raises(NotPositiveDefinite, match="second covariance"):
+                bc_mvn(good, bad)
 
 
 class TestTruncatedMvn:

@@ -1,11 +1,12 @@
 """Group loading, estimators, and the comparison pipeline."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
 
-from distsim import pipeline
+from distsim import gaussian, pipeline, quadrature
 from distsim.cli import main
 from distsim.quadrature import QuadConfig
 from distsim.reduce import jl_project, pca_reduce
@@ -137,6 +138,17 @@ class TestEstimateTruncatedUni:
         with pytest.warns(UserWarning, match="falling back"):
             fit = estimate_truncated_uni(x, bounds="observed_range")
         assert fit.mu == pytest.approx(x.mean())
+
+    def test_arithmetic_error_in_solve_falls_back_with_warning(self, monkeypatch):
+        def underflowed(*args):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(pipeline, "_trunc_moments", underflowed)
+        x = np.random.default_rng(56).standard_normal(300)
+        with pytest.warns(UserWarning, match="falling back"):
+            fit = estimate_truncated_uni(x, bounds="observed_range")
+        assert fit.mu == pytest.approx(x.mean())
+        assert fit.sigma2 == pytest.approx(x.var(ddof=1))
 
     def test_constant_column_rejected(self):
         with pytest.raises(DegenerateData):
@@ -383,14 +395,42 @@ class TestThreadDeterminism:
             assert b"projected" in outputs["1"][0]
 
 
+def counting(monkeypatch, module, names) -> dict:
+    """Wrap ``module.<name>`` for each name; returns the live call counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*a, _name=name, _fn=original, **kw):
+            calls[_name] += 1
+            return _fn(*a, **kw)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestPcaFitOnce:
     @pytest.mark.parametrize("fit", ["mvn", "discrete"])
     def test_matches_per_pair_decomposition(self, fit):
         groups = mixed_width_groups(32)
         cfg = RunConfig(method="pca", sig_digits=6, fit=fit, seed=7)
         matrix = compare_groups(groups, cfg).matrices[0].values
-        fit_fn, distance_fn = pipeline._FAMILIES[fit]
         iter_seed = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+        self.check_against_per_pair(groups, cfg, matrix, iter_seed)
+
+    def test_every_iteration_matches_per_pair_decomposition(self):
+        groups = mixed_width_groups(32)
+        cfg = RunConfig(method="pca", sig_digits=6, fit="mvn", seed=7, iterations=3)
+        matrices = compare_groups(groups, cfg).matrices
+        iter_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.iterations)
+        for matrix, iter_seed in zip(matrices, iter_seeds):
+            self.check_against_per_pair(groups, cfg, matrix.values, iter_seed)
+        # the projected pairs use a per-iteration map
+        assert not np.array_equal(matrices[0].values, matrices[1].values)
+
+    @staticmethod
+    def check_against_per_pair(groups, cfg, matrix, iter_seed):
+        fit_fn, distance_fn = pipeline._FAMILIES[cfg.fit]
         quad = QuadConfig(seed=int(iter_seed.generate_state(1)[0]))
         projected = 0
         for i, j in [(0, 1), (1, 0), (0, 2), (2, 1)]:
@@ -421,17 +461,65 @@ class TestPcaFitOnce:
         projected = sum(count[p] < kept[p[0]] for p in pairs)
         fit_keys = ({(j, count[i, j]) for i, j in pairs}
                     | {(i, kept[i]) for i, j in pairs if count[i, j] == kept[i]})
-        calls = {"pca_reduce": 0, "estimate_mvn": 0}
-        for name in calls:
-            original = getattr(pipeline, name)
-
-            def counted(*a, _name=name, _fn=original, **kw):
-                calls[_name] += 1
-                return _fn(*a, **kw)
-
-            monkeypatch.setattr(pipeline, name, counted)
+        calls = counting(monkeypatch, pipeline, ["pca_reduce", "estimate_mvn"])
         compare_groups(groups, cfg)
         assert projected > 0
         assert calls["pca_reduce"] <= 2 * len(groups)
         assert calls["estimate_mvn"] <= len(fit_keys) + projected
         assert calls["estimate_mvn"] < 2 * len(pairs)
+
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_iterations_repeat_only_projected_leads(self, monkeypatch, iterations):
+        # widths 5, 3, 4 keep every component, so 3 of the 6 ordered pairs
+        # project their first group: 5 fits per run plus 3 per iteration
+        groups = mixed_width_groups(35, widths=(5, 3, 4))
+        cfg = RunConfig(method="pca", sig_digits=6, fit="mvn", seed=9,
+                        iterations=iterations)
+        calls = counting(monkeypatch, pipeline, ["pca_reduce", "estimate_mvn"])
+        res = compare_groups(groups, cfg)
+        assert sum("projected" in note for note in res.notes) == 3
+        assert calls == {"pca_reduce": 6, "estimate_mvn": 5 + 3 * iterations}
+
+
+def truncated_run(groups, iterations=1):
+    return compare_groups(groups, RunConfig(method="jl", k=3, fit="truncated", seed=2,
+                                            iterations=iterations, mc_samples=2000))
+
+
+class TestBoxNormaliserMemo:
+    """Each group's box normaliser is computed once per iteration."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_one_normaliser_per_group(self, monkeypatch, threads):
+        monkeypatch.setenv("DISTSIM_THREADS", threads)
+        groups = mixed_width_groups(34, widths=(5, 4, 6, 5), t=120)
+        g, iterations = len(groups), 2
+        box_calls = counting(monkeypatch, gaussian, ["mvn_rect_prob"])
+        computed = counting(monkeypatch, quadrature, ["_box_prob"])
+        res = truncated_run(groups, iterations)
+        assert np.isfinite(res.matrices[1].values).all()
+        pairs = g * (g - 1) // 2
+        # every pair still asks for its three boxes
+        assert box_calls["mvn_rect_prob"] == iterations * 3 * pairs
+        # two threads may both compute a normaliser they race to
+        expected = iterations * (g + pairs)
+        if threads == "1":
+            assert computed["_box_prob"] == expected
+        else:
+            assert expected <= computed["_box_prob"] < iterations * 3 * pairs
+
+    def test_memo_dies_with_the_fits(self, monkeypatch):
+        gc.collect()
+        before = (len(quadrature._BOX_MEMO), len(gaussian._EIGVALS))
+        sizes = []
+        original = quadrature._box_prob
+
+        def recorded(*args):
+            sizes.append(len(quadrature._BOX_MEMO))
+            return original(*args)
+
+        monkeypatch.setattr(quadrature, "_box_prob", recorded)
+        truncated_run(mixed_width_groups(36, widths=(4, 5, 4), t=120))
+        assert max(sizes) > before[0]
+        gc.collect()
+        assert (len(quadrature._BOX_MEMO), len(gaussian._EIGVALS)) == before
