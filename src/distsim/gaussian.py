@@ -6,7 +6,8 @@ subtract the probability that a "mixture" Gaussian (precision-weighted mean
 ``nu``/``m``, combined scale ``varsigma``/``2S``) lands in the common
 support. The common support is ``[max of lower bounds, min of upper
 bounds]`` per coordinate; if it is empty the distributions share no mass
-and the distance is infinite.
+and the distance is infinite. All univariate normal masses are taken in log
+space (:func:`~distsim.quadrature.log_gauss_mass`), however far in a tail.
 
 Log-determinants are always computed as sums of eigenvalue logarithms,
 never through raw determinants, so well-conditioned but large-entry
@@ -43,13 +44,14 @@ from .core import (
 )
 from .divergence import DivergenceValue
 from .errors import DimensionMismatch, DomainError, NonConvergence, NotPositiveDefinite
-from .quadrature import DEFAULT_CONFIG, QuadConfig, mvn_rect_prob, std_normal_cdf
+from .quadrature import DEFAULT_CONFIG, QuadConfig, log_gauss_mass, mvn_rect_prob
 
 __all__ = [
     "bc_normal_uni",
     "bc_mvn",
     "bc_truncated_uni",
     "bc_truncated_mvn",
+    "truncated_moments",
     "overlap_params",
     "mvn_overlap_params",
     "TruncatedMvnTerms",
@@ -123,19 +125,36 @@ def overlap_params(p: TruncGaussianUni, q: TruncGaussianUni) -> OverlapParams | 
     return OverlapParams(lo, hi, nu, varsigma)
 
 
-def _phi_interval(mu: float, sigma: float, lo: float, hi: float) -> float:
-    """Normal mass of ``(lo, hi)``, taken in the tail the interval lies in.
+def _uni_log_masses(p: TruncGaussianUni,
+                    q: TruncGaussianUni) -> tuple[float, float, float] | None:
+    """``(ln Z_p, ln Z_q, ln Z_overlap)``, or ``None`` if the supports are disjoint."""
+    ov = overlap_params(p, q)
+    if ov is None:
+        return None
+    return tuple(log_gauss_mass((lo - mu) / sd, (hi - mu) / sd) for mu, sd, lo, hi in (
+        (p.mu, p.sigma, p.lower, p.upper), (q.mu, q.sigma, q.lower, q.upper),
+        (ov.nu, ov.varsigma, ov.l, ov.u)))
 
-    Above the mean ``Phi(b) - Phi(a)`` is a difference of numbers near 1
-    that cancels to 0 past about 8 standard deviations, so the mirrored
-    ``Phi(-a) - Phi(-b)`` is used there. Beyond about 37 standard deviations
-    ``ndtr`` itself underflows in float64 and the mass reads 0.
+
+def truncated_moments(mu: float, sigma: float, lo: float, hi: float) -> tuple[float, float]:
+    """Mean and variance of ``N(mu, sigma^2)`` truncated to ``(lo, hi)``.
+
+    The pdf-to-mass ratios at the standardised bounds are formed as
+    ``exp(logpdf - ln Z)``, finite however far in a tail the interval lies;
+    an interval too narrow for float64 gives ``nan`` or ``OverflowError``.
     """
-    a = (lo - mu) / sigma
-    b = (hi - mu) / sigma
-    if a > 0:
-        return std_normal_cdf(-a) - std_normal_cdf(-b)
-    return std_normal_cdf(b) - std_normal_cdf(a)
+    a, b = (lo - mu) / sigma, (hi - mu) / sigma
+    log_z = log_gauss_mass(a, b)
+
+    def ratios(x: float) -> tuple[float, float]:  # pdf(x) / Z and x pdf(x) / Z
+        if math.isinf(x):
+            return 0.0, 0.0
+        r = math.exp(-0.5 * (x * x + math.log(2.0 * math.pi)) - log_z)
+        return r, x * r
+
+    (r_a, xr_a), (r_b, xr_b) = ratios(a), ratios(b)
+    shift = r_a - r_b
+    return mu + sigma * shift, sigma * sigma * (1.0 + xr_a - xr_b - shift * shift)
 
 
 def bc_truncated_uni(p: TruncGaussianUni, q: TruncGaussianUni) -> DivergenceValue:
@@ -146,17 +165,11 @@ def bc_truncated_uni(p: TruncGaussianUni, q: TruncGaussianUni) -> DivergenceValu
     normal ``N(nu, varsigma^2)`` lies in the common support. Disjoint
     supports give a zero coefficient and infinite distance.
     """
-    ov = overlap_params(p, q)
-    if ov is None:
+    if (logs := _uni_log_masses(p, q)) is None:
         return DivergenceValue(0.0, math.inf)
-    z_p = _phi_interval(p.mu, p.sigma, p.lower, p.upper)
-    z_q = _phi_interval(q.mu, q.sigma, q.lower, q.upper)
-    z_overlap = _phi_interval(ov.nu, ov.varsigma, ov.l, ov.u)
-    if z_overlap <= 0.0:
-        return DivergenceValue(0.0, math.inf)
+    log_p, log_q, log_overlap = logs
     base = bc_normal_uni(p.parent(), q.parent()).distance
-    dist = base + 0.5 * (math.log(z_p) + math.log(z_q)) - math.log(z_overlap)
-    return DivergenceValue.from_distance(dist)
+    return DivergenceValue.from_distance(base + 0.5 * (log_p + log_q) - log_overlap)
 
 
 def mvn_overlap_params(p: TruncGaussianMulti,
@@ -249,7 +262,9 @@ class InequalityCheck:
     """Both sides of the truncation comparison and the resulting verdict.
 
     ``holds`` is True when the truncated distance is at least the
-    untruncated one, equivalent to ``lhs >= rhs``.
+    untruncated one, equivalent to ``lhs >= rhs``. In the univariate check
+    ``lhs`` and ``rhs`` may underflow to 0 past about 37 standard
+    deviations, so ``holds`` is decided on their logarithms.
     """
 
     lhs: float
@@ -264,14 +279,11 @@ def truncation_inequality_holds_uni(p: TruncGaussianUni,
     ``lhs >= rhs`` exactly when truncation increased the distance relative
     to the untruncated normals. Requires overlapping supports.
     """
-    ov = overlap_params(p, q)
-    if ov is None:
+    if (logs := _uni_log_masses(p, q)) is None:
         raise DomainError("supports do not overlap; the comparison is undefined")
-    z_p = _phi_interval(p.mu, p.sigma, p.lower, p.upper)
-    z_q = _phi_interval(q.mu, q.sigma, q.lower, q.upper)
-    lhs = math.sqrt(z_p * z_q)
-    rhs = _phi_interval(ov.nu, ov.varsigma, ov.l, ov.u)
-    return InequalityCheck(lhs, rhs, lhs >= rhs)
+    log_p, log_q, log_overlap = logs
+    log_lhs = 0.5 * (log_p + log_q)
+    return InequalityCheck(math.exp(log_lhs), math.exp(log_overlap), log_lhs >= log_overlap)
 
 
 def truncation_inequality_holds_mvn(p: TruncGaussianMulti, q: TruncGaussianMulti,

@@ -63,9 +63,9 @@ from .errors import (
     InvalidDistribution,
     ParseError,
 )
-from .gaussian import bc_mvn, bc_truncated_mvn
+from .gaussian import bc_mvn, bc_truncated_mvn, truncated_moments
 from .approx import moment_match
-from .quadrature import QuadConfig, std_normal_cdf
+from .quadrature import QuadConfig
 from .reduce import jl_min_dimension, jl_project, pca_reduce
 
 __all__ = [
@@ -294,23 +294,6 @@ def _shrink(mat: np.ndarray, scale: float, start: float,
     raise DegenerateData(f"{what} stayed ill-conditioned through the shrinkage ladder")
 
 
-def _trunc_moments(mu: float, sigma: float, lo: float, hi: float) -> tuple[float, float]:
-    alpha = (lo - mu) / sigma
-    beta = (hi - mu) / sigma
-    z = std_normal_cdf(beta) - std_normal_cdf(alpha)
-
-    def pdf(x):
-        return 0.0 if math.isinf(x) else math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-
-    def x_pdf(x):
-        return 0.0 if math.isinf(x) else x * pdf(x)
-
-    d1 = (pdf(alpha) - pdf(beta)) / z
-    mean = mu + sigma * d1
-    var = sigma * sigma * (1.0 + (x_pdf(alpha) - x_pdf(beta)) / z - d1 * d1)
-    return mean, var
-
-
 def estimate_truncated_uni(column, bounds="observed_range") -> TruncGaussianUni:
     """Fit a truncated normal to one column by matching mean and variance.
 
@@ -346,7 +329,7 @@ def estimate_truncated_uni(column, bounds="observed_range") -> TruncGaussianUni:
     def residual(params):
         mu, log_sigma = params
         sigma = math.exp(log_sigma)
-        m, v = _trunc_moments(mu, sigma, lo, hi)
+        m, v = truncated_moments(mu, sigma, lo, hi)
         return [(m - s_mean) / scale, (v - s_var) / s_var]
 
     try:
@@ -354,7 +337,7 @@ def estimate_truncated_uni(column, bounds="observed_range") -> TruncGaussianUni:
                             options={"xtol": 1e-12})
         solved = sol.success and max(abs(r) for r in residual(sol.x)) < 1e-6
     except ArithmeticError:
-        # the solver wandered where the truncated mass underflows to 0
+        # the solver wandered where sigma or a pdf/mass ratio over- or underflows
         solved = False
     if solved:
         mu, sigma = float(sol.x[0]), math.exp(float(sol.x[1]))

@@ -1,9 +1,11 @@
 """Numerical integration primitives.
 
-Four entry points, all pure and reproducible:
+Five entry points, all pure and reproducible:
 
 * :func:`std_normal_cdf` -- standard normal CDF, absolute error below 1e-12
   (Cephes ``ndtr`` rational erf approximation, exact at infinities).
+* :func:`log_gauss_mass` -- log standard normal mass of an interval, from
+  ``log_ndtr`` in its own tail; every univariate normal mass is taken here.
 * :func:`integrate_1d` -- adaptive Gauss-Kronrod quadrature on finite or
   infinite intervals (QUADPACK; infinite limits are mapped to a bounded
   interval by its internal change of variables).
@@ -33,15 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate as _integrate
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 from scipy.stats import qmc
 from scipy.stats import t as _student_t
 
 from .core import GaussianMulti, ObjectMemo, QuadResult, ScalarFn, ScalarFn2
 from .errors import DimensionMismatch, DomainError, NonConvergence, NotPositiveDefinite
 
-__all__ = ["QuadConfig", "std_normal_cdf", "integrate_1d", "mvn_rect_prob",
-           "integrate_2d_mc"]
+__all__ = ["QuadConfig", "std_normal_cdf", "log_gauss_mass", "integrate_1d",
+           "mvn_rect_prob", "integrate_2d_mc"]
 
 #: replicate count for randomized quasi-Monte Carlo error estimation.
 MC_REPLICATES = 12
@@ -86,6 +88,19 @@ def std_normal_cdf(x):
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
+
+
+def log_gauss_mass(a: float, b: float) -> float:
+    """``ln(Phi(b) - Phi(a))`` for standardised bounds ``a <= b``, either infinite.
+
+    Above the mean the interval is mirrored to ``(-b, -a)``, so the mass never
+    cancels near 1 nor underflows where ``ndtr`` does (past about 37 sigma);
+    ``lb + log(-expm1(la - lb))`` keeps narrow intervals accurate. An empty
+    interval gives ``-inf``.
+    """
+    la, lb = log_ndtr((-b, -a) if a > 0 else (a, b))
+    gap = -math.expm1(la - lb)
+    return float(lb + math.log(gap)) if gap > 0 else -math.inf
 
 
 def integrate_1d(f: ScalarFn, a: float, b: float,
@@ -153,8 +168,8 @@ def _box_prob(dist: GaussianMulti, lower: np.ndarray, upper: np.ndarray,
     b = upper - dist.mu
 
     if k == 1:
-        p = float(ndtr(b[0] / chol[0, 0]) - ndtr(a[0] / chol[0, 0]))
-        return QuadResult(min(max(p, 0.0), 1.0), 0.0, 1)
+        return QuadResult(math.exp(log_gauss_mass(a[0] / chol[0, 0], b[0] / chol[0, 0])),
+                          0.0, 1)
 
     n_per_rep = 1 << max(6, math.ceil(math.log2(max(1, cfg.mc_samples // MC_REPLICATES))))
     children = np.random.SeedSequence(cfg.seed).spawn(MC_REPLICATES)

@@ -24,6 +24,20 @@ def cdf_series(x: float) -> float:
     return float(0.5 * (1 + mpmath.erf(mpmath.mpf(x) / mpmath.sqrt(2))))
 
 
+def log_gauss_mass_mp(a: float, b: float) -> float:
+    """``ln(Phi(b) - Phi(a))`` in 60-digit arithmetic.
+
+    Above the mean the mass is taken as ``Phi(-a) - Phi(-b)``: far in the
+    upper tail the plain difference is one of two numbers within 1e-300 of 1
+    and cancels at any practical precision.
+    """
+    with mpmath.workdps(60):
+        lo, hi = mpmath.mpf(a), mpmath.mpf(b)
+        if a > 0:
+            return float(mpmath.log(mpmath.ncdf(-lo) - mpmath.ncdf(-hi)))
+        return float(mpmath.log(mpmath.ncdf(hi) - mpmath.ncdf(lo)))
+
+
 def orthant_bivariate(rho: float) -> float:
     """P(X<0, Y<0) for standard bivariate normal with correlation rho."""
     return 0.25 + math.asin(rho) / (2.0 * math.pi)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,10 +187,10 @@ class TestCompare:
         mat = out["iterations"][0]["matrix"]
         assert len(mat) == 3 and len(mat[0]) == 3
 
-    def test_truncated_pca_falls_back_instead_of_raising(self, tmp_path, capsys):
-        # on PCA scores the truncated moment solve wanders where the truncated
-        # mass underflows; the column then takes its sample moments with a
-        # warning. 2,000 samples keep the wide box probabilities quick.
+    def test_truncated_pca_fits_every_column(self, tmp_path, capsys):
+        # on PCA scores the moment solve wanders deep into a tail; every
+        # column must still be fitted, none taking the sample-moment
+        # fallback. 2,000 samples keep the wide box probabilities quick.
         rng = np.random.default_rng(1)
         paths = []
         for g in range(3):
@@ -197,10 +198,12 @@ class TestCompare:
             SampleMatrix(rng.standard_normal((250, 40))).to_csv(path)
             paths.append(str(path))
         out = tmp_path / "run"
-        with pytest.warns(UserWarning, match="falling back"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["compare", *paths, "--method", "pca", "--fit", "truncated",
                          "--seed", "1", "--mc-samples", "2000", "--out", str(out)])
         assert code == 0
+        assert not [w for w in caught if "falling back" in str(w.message)]
         matrix = json.loads((out / "summary.json").read_text())["iterations"][0]["matrix"]
         assert all(isinstance(x, float) and math.isfinite(x) for row in matrix for x in row)
 

@@ -24,7 +24,7 @@ from distsim import (
     truncation_inequality_holds_mvn,
     truncation_inequality_holds_uni,
 )
-from distsim.gaussian import truncated_mvn_terms
+from distsim.gaussian import truncated_moments, truncated_mvn_terms
 
 from oracles import (
     bc_coefficient_mc_mvn,
@@ -191,9 +191,8 @@ class TestTruncatedUni:
 class TestTruncatedUniTails:
     """Boxes deep in either tail against scipy ``truncnorm`` plus quadrature.
 
-    The sweep stops at 30 standard deviations: beyond about 37, float64
-    ``ndtr`` underflows to 0 and the masses read 0 on either side, a regime
-    that needs a ``log_ndtr`` core.
+    The sweep runs to 40 standard deviations, past the point (about 37)
+    where float64 ``ndtr`` underflows to 0: every mass is taken in log space.
     """
 
     @staticmethod
@@ -202,9 +201,9 @@ class TestTruncatedUniTails:
         return stats.truncnorm(a, b, loc=t.mu, scale=t.sigma).pdf
 
     @pytest.mark.parametrize("lo, hi", [
-        (29.0, 30.0), (20.0, 21.5), (10.0, 11.0), (8.0, 9.0), (3.0, 5.0),
-        (-30.0, -29.0), (-21.5, -20.0), (-11.0, -10.0), (-9.0, -8.0), (-5.0, -3.0),
-        (-0.5, 0.5),
+        (39.0, 40.0), (38.0, 39.0), (29.0, 30.0), (20.0, 21.5), (10.0, 11.0),
+        (8.0, 9.0), (3.0, 5.0), (-40.0, -39.0), (-39.0, -38.0), (-30.0, -29.0),
+        (-21.5, -20.0), (-11.0, -10.0), (-9.0, -8.0), (-5.0, -3.0), (-0.5, 0.5),
     ])
     @pytest.mark.parametrize("mu_q, var_q", [(0.2, 1.0), (-0.3, 1.6)])
     def test_against_scipy_truncnorm(self, lo, hi, mu_q, var_q):
@@ -229,6 +228,29 @@ class TestTruncatedUniTails:
             bc_truncated_uni(mp, mq).distance, rel=1e-12)
         check = truncation_inequality_holds_uni(p, q)
         assert check.lhs > 0 and check.rhs > 0
+
+    def test_inequality_verdict_past_underflow(self):
+        # at 39 sigma both sides underflow to 0; the verdict comes from the logs
+        p, q = TruncGaussianUni(0, 1, 39, 40), TruncGaussianUni(0.2, 1, 39, 40)
+        mp, mq = (TruncGaussianUni(-t.mu, t.sigma2, -t.upper, -t.lower) for t in (p, q))
+        check = truncation_inequality_holds_uni(p, q)
+        mirror = truncation_inequality_holds_uni(mp, mq)
+        assert check.holds == mirror.holds
+        assert check.holds == (bc_truncated_uni(p, q).distance
+                               >= bc_normal_uni(p.parent(), q.parent()).distance)
+        assert not check.holds
+
+    @pytest.mark.parametrize("lo, hi", [
+        (39.0, 40.0), (38.0, 39.0), (10.0, 11.0), (3.0, 5.0), (1.0, math.inf),
+        (-40.0, -39.0), (-11.0, -10.0), (-math.inf, -2.0), (-0.5, 0.5),
+    ])
+    @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (0.2, 1.0), (-0.3, 1.3)])
+    def test_moments_against_scipy_truncnorm(self, lo, hi, mu, sigma):
+        a, b = (lo - mu) / sigma, (hi - mu) / sigma
+        want_m, want_v = stats.truncnorm.stats(a, b, loc=mu, scale=sigma, moments="mv")
+        m, v = truncated_moments(mu, sigma, lo, hi)
+        assert m == pytest.approx(float(want_m), rel=1e-12, abs=0.0)
+        assert v == pytest.approx(float(want_v), rel=1e-9, abs=0.0)
 
 
 def copy_trunc(t: TruncGaussianMulti) -> TruncGaussianMulti:

@@ -143,7 +143,7 @@ class TestEstimateTruncatedUni:
         def underflowed(*args):
             raise ZeroDivisionError("float division by zero")
 
-        monkeypatch.setattr(pipeline, "_trunc_moments", underflowed)
+        monkeypatch.setattr(pipeline, "truncated_moments", underflowed)
         x = np.random.default_rng(56).standard_normal(300)
         with pytest.warns(UserWarning, match="falling back"):
             fit = estimate_truncated_uni(x, bounds="observed_range")
@@ -163,9 +163,9 @@ class TestEstimateTruncatedUni:
         draws = rng.normal(0.3, 1.2, size=400_000)
         draws = draws[(draws > -0.5) & (draws < 2.0)][:50_000]
         fit = estimate_truncated_uni(draws, bounds=(-0.5, 2.0))
-        from distsim.pipeline import _trunc_moments
+        from distsim.gaussian import truncated_moments
 
-        m, v = _trunc_moments(fit.mu, fit.sigma, fit.lower, fit.upper)
+        m, v = truncated_moments(fit.mu, fit.sigma, fit.lower, fit.upper)
         assert m == pytest.approx(float(draws.mean()), abs=1e-5)
         assert v == pytest.approx(float(draws.var(ddof=1)), rel=1e-5)
 

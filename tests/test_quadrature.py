@@ -16,7 +16,9 @@ from distsim import (
     std_normal_cdf,
 )
 
-from oracles import cdf_series, orthant_bivariate
+from distsim.quadrature import log_gauss_mass
+
+from oracles import cdf_series, log_gauss_mass_mp, orthant_bivariate
 
 CFG = QuadConfig(seed=123)
 
@@ -72,6 +74,20 @@ class TestIntegrate1d:
             integrate_1d(lambda x: abs(math.sin(50 / (x + 0.01))), 0, 1, starved)
 
 
+class TestLogGaussMass:
+    @pytest.mark.parametrize("a, b", [
+        (39.0, 40.0), (-40.0, -39.0), (40.0, math.inf), (-math.inf, -40.0),
+        (-math.inf, 0.0), (0.0, math.inf), (-math.inf, math.inf),
+        (0.1, 0.1 + 1e-7), (-0.1 - 1e-7, -0.1), (-1.0, 2.0),
+    ])
+    def test_against_mpmath(self, a, b):
+        assert log_gauss_mass(a, b) == pytest.approx(log_gauss_mass_mp(a, b), rel=1e-9)
+
+    def test_mirror_symmetric_and_empty(self):
+        assert log_gauss_mass(12.0, 13.5) == log_gauss_mass(-13.5, -12.0)
+        assert log_gauss_mass(2.0, 2.0) == -math.inf
+
+
 class TestMvnRectProb:
     def test_half_line_1d(self):
         g = GaussianMulti([0.0], [[1.0]])
@@ -84,6 +100,13 @@ class TestMvnRectProb:
         r = mvn_rect_prob(g, [-1.0], [2.0], CFG)
         want = std_normal_cdf((2.0 - 1.5) / 2.0) - std_normal_cdf((-1.0 - 1.5) / 2.0)
         assert r.value == pytest.approx(want, abs=1e-10)
+
+    def test_1d_far_tail_box(self):
+        # Phi(11) - Phi(10) cancels to 0 in float64
+        r = mvn_rect_prob(GaussianMulti([0.0], [[1.0]]), [10.0], [11.0], CFG)
+        assert r.value == pytest.approx(7.6197e-24, rel=1e-4, abs=0.0)
+        assert r.value == pytest.approx(math.exp(log_gauss_mass_mp(10.0, 11.0)),
+                                        rel=1e-9, abs=0.0)
 
     def test_independent_octant(self):
         g = GaussianMulti(np.zeros(3), np.eye(3))
