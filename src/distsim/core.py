@@ -76,10 +76,11 @@ class ObjectMemo:
 
     Entries are keyed on the object's identity through a weak reference
     (every distribution type is ``eq=False``), so they die with the object
-    and two equal-valued objects never share one. A lock guards the table;
-    ``compute`` runs outside it, so threads racing to one key each compute
-    it and the first value stored is returned to all of them. Memoise only
-    deterministic values: then a hit returns the bits a recomputation would.
+    and two equal-valued objects never share one. Each ``(object, key)`` slot
+    has its own lock: the first caller computes under it, racing callers wait
+    for its value, other keys compute in parallel, and a ``compute`` that
+    raises leaves the slot empty. Memoise only deterministic values: then a
+    hit returns the bits a recomputation would.
     """
 
     def __init__(self):
@@ -89,12 +90,12 @@ class ObjectMemo:
     def get(self, obj, key, compute: Callable[[], object]):
         """``compute()`` for ``(obj, key)``, or the value remembered for it."""
         with self._lock:
-            entry = self._table.get(obj)
-            if entry is not None and key in entry:
-                return entry[key]
-        value = compute()
-        with self._lock:
-            return self._table.setdefault(obj, {}).setdefault(key, value)
+            entry = self._table.setdefault(obj, {})
+            slot = entry.get(key) or entry.setdefault(key, [threading.Lock()])
+        with slot[0]:
+            if len(slot) == 1:
+                slot.append(compute())
+            return slot[1]
 
     def __len__(self) -> int:
         with self._lock:

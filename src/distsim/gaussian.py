@@ -8,6 +8,8 @@ support. The common support is ``[max of lower bounds, min of upper
 bounds]`` per coordinate; if it is empty the distributions share no mass
 and the distance is infinite. All univariate normal masses are taken in log
 space (:func:`~distsim.quadrature.log_gauss_mass`), however far in a tail.
+Truncated moments come from one integration-by-parts recursion, which
+:func:`fit_truncated_normal` inverts by a convex Newton solve.
 
 Log-determinants are always computed as sums of eigenvalue logarithms,
 never through raw determinants, so well-conditioned but large-entry
@@ -43,7 +45,8 @@ from .core import (
     TruncGaussianUni,
 )
 from .divergence import DivergenceValue
-from .errors import DimensionMismatch, DomainError, NonConvergence, NotPositiveDefinite
+from .errors import (DimensionMismatch, DomainError, NonConvergence, NoSolution,
+                     NotPositiveDefinite)
 from .quadrature import DEFAULT_CONFIG, QuadConfig, log_gauss_mass, mvn_rect_prob
 
 __all__ = [
@@ -52,6 +55,7 @@ __all__ = [
     "bc_truncated_uni",
     "bc_truncated_mvn",
     "truncated_moments",
+    "fit_truncated_normal",
     "overlap_params",
     "mvn_overlap_params",
     "TruncatedMvnTerms",
@@ -63,6 +67,10 @@ __all__ = [
 
 #: covariance condition number beyond which distances refuse to evaluate.
 MAX_CONDITION = 1e12
+
+#: truncated-normal moment fit: Newton decrement taken as converged, largest
+#: scaled mean/variance gap accepted, and Newton step budget.
+_FIT_TOL, _FIT_GAP, _FIT_STEPS = 1e-24, 1e-9, 50
 
 #: covariance eigenvalues per normal object, kept while the object lives.
 _EIGVALS = ObjectMemo()
@@ -136,25 +144,80 @@ def _uni_log_masses(p: TruncGaussianUni,
         (ov.nu, ov.varsigma, ov.l, ov.u)))
 
 
-def truncated_moments(mu: float, sigma: float, lo: float, hi: float) -> tuple[float, float]:
-    """Mean and variance of ``N(mu, sigma^2)`` truncated to ``(lo, hi)``.
+def _moments_about(c: float, a: float, b: float) -> list[float]:
+    """``E[(Z - c)^k]``, ``k = 0..4``, for ``Z`` standard normal truncated to ``(a, b)``.
 
-    The pdf-to-mass ratios at the standardised bounds are formed as
-    ``exp(logpdf - ln Z)``, finite however far in a tail the interval lies;
-    an interval too narrow for float64 gives ``nan`` or ``OverflowError``.
+    By parts, ``E[(Z-c)^k] = (k-1) E[(Z-c)^(k-2)] - c E[(Z-c)^(k-1)] + ((a-c)^(k-1)
+    pdf(a) - (b-c)^(k-1) pdf(b)) / Z``, each pdf/mass ratio ``exp(logpdf - ln Z)``:
+    finite however far in a tail; too narrow an interval gives nan or OverflowError.
     """
-    a, b = (lo - mu) / sigma, (hi - mu) / sigma
     log_z = log_gauss_mass(a, b)
+    (da, ra), (db, rb) = ((0.0, 0.0) if math.isinf(x) else
+                          (x - c, math.exp(-0.5 * (x * x + math.log(2.0 * math.pi)) - log_z))
+                          for x in (a, b))
+    m = [1.0]
+    for k in range(1, 5):
+        m.append((k - 1) * m[k - 2] + da ** (k - 1) * ra - db ** (k - 1) * rb - c * m[k - 1])
+    return m
 
-    def ratios(x: float) -> tuple[float, float]:  # pdf(x) / Z and x pdf(x) / Z
-        if math.isinf(x):
-            return 0.0, 0.0
-        r = math.exp(-0.5 * (x * x + math.log(2.0 * math.pi)) - log_z)
-        return r, x * r
 
-    (r_a, xr_a), (r_b, xr_b) = ratios(a), ratios(b)
-    shift = r_a - r_b
-    return mu + sigma * shift, sigma * sigma * (1.0 + xr_a - xr_b - shift * shift)
+def truncated_moments(mu: float, sigma: float, lo: float, hi: float) -> tuple[float, float]:
+    """Mean and variance of ``N(mu, sigma^2)`` truncated to ``(lo, hi)``, in log space."""
+    _, m1, m2, _, _ = _moments_about(0.0, (lo - mu) / sigma, (hi - mu) / sigma)
+    return mu + sigma * m1, sigma * sigma * (m2 - m1 * m1)
+
+
+def _moment_gap(eta: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gap ``(E x, E x^2 - 1)`` and its Jacobian ``Cov(x, x^2)`` at natural ``eta``."""
+    s2 = -0.5 / eta[1]
+    s, mu = math.sqrt(s2), eta[0] * s2
+    lo, hi = (a - mu) / s, (b - mu) / s
+    # about the bound nearest the mass: about mu, a fit far beyond a bound cancels
+    c = lo if lo > 0 else hi if hi < 0 else 0.0
+    _, w, m2, m3, m4 = _moments_about(c, lo, hi)
+    k2, k3 = m2 - w * w, m3 - 3 * w * m2 + 2 * w ** 3
+    k4 = m4 - 4 * w * m3 + 6 * w * w * m2 - 3 * w ** 4
+    nu = (a if c > 0 else b if c < 0 else mu) + s * w  # E x
+    cov = s2 * (2 * nu * k2 + s * k3)
+    var2 = s2 * (4 * nu * (nu * k2 + s * k3) + s2 * (k4 - k2 * k2))
+    return np.array([nu, nu * nu + s2 * k2 - 1.0]), np.array([[s2 * k2, cov], [cov, var2]])
+
+
+def fit_truncated_normal(mean: float, var: float, lo: float, hi: float) -> tuple[float, float]:
+    """``(mu, sigma)`` whose normal, truncated to ``(lo, hi)``, has this mean and variance.
+
+    On data scaled to mean 0 and variance 1, the natural parameters ``eta =
+    (mu / sigma^2, -1 / (2 sigma^2))`` minimise the strictly convex
+    ``A(eta) - eta_2``: gradient the moment gap, Hessian ``Cov(x, x^2)``
+    (Wainwright & Jordan 2008, section 3). Damped Newton keeps ``eta_2 < 0``
+    and stops on the Newton decrement or when no step shrinks the gap. A gap
+    left above ``_FIT_GAP`` raises :class:`NoSolution`: the moments are
+    flatter than any truncated normal on ``(lo, hi)``.
+    """
+    if not (var > 0 and lo < mean < hi):
+        raise DomainError("need a positive variance and lo < mean < hi")
+    sd = math.sqrt(var)
+    a, b = (lo - mean) / sd, (hi - mean) / sd
+    eta = np.array([0.0, -0.5])
+    gap, hess = _moment_gap(eta, a, b)
+    for _ in range(_FIT_STEPS):
+        step = np.linalg.solve(hess, -gap)
+        converged = abs(gap @ step) <= _FIT_TOL
+        for t in 0.5 ** np.arange(60):  # 2**-59: below the resolution of eta
+            trial = eta + t * step
+            if trial[1] < 0:
+                new_gap, new_hess = _moment_gap(trial, a, b)
+                if converged or new_gap @ new_gap < gap @ gap:
+                    break
+        else:
+            break
+        eta, gap, hess = trial, new_gap, new_hess
+        if converged:
+            break
+    if not np.abs(gap).max() <= _FIT_GAP:
+        raise NoSolution(f"moments flatter than any truncated normal on ({lo}, {hi})")
+    s2 = -0.5 / eta[1]
+    return mean + sd * eta[0] * s2, sd * math.sqrt(s2)
 
 
 def bc_truncated_uni(p: TruncGaussianUni, q: TruncGaussianUni) -> DivergenceValue:

@@ -45,7 +45,6 @@ from functools import partial
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .core import (
     DistanceMatrix,
@@ -63,7 +62,7 @@ from .errors import (
     InvalidDistribution,
     ParseError,
 )
-from .gaussian import bc_mvn, bc_truncated_mvn, truncated_moments
+from .gaussian import bc_mvn, bc_truncated_mvn, fit_truncated_normal
 from .approx import moment_match
 from .quadrature import QuadConfig
 from .reduce import jl_min_dimension, jl_project, pca_reduce
@@ -298,10 +297,11 @@ def estimate_truncated_uni(column, bounds="observed_range") -> TruncGaussianUni:
     """Fit a truncated normal to one column by matching mean and variance.
 
     ``bounds`` is ``"observed_range"`` (data min/max) or a fixed
-    ``(lower, upper)`` pair, possibly infinite. The location/scale pair is
-    solved so the truncated distribution reproduces the sample mean and
-    variance to 1e-6; if the solver fails, or raises an ``ArithmeticError``
-    on the way, the untruncated sample moments are used with a warning.
+    ``(lower, upper)`` pair, possibly infinite. The location/scale pair comes
+    from :func:`~distsim.gaussian.fit_truncated_normal`. A column flatter than
+    every truncated normal on its range, one whose mean lies outside fixed
+    bounds, or a solve that raises an ``ArithmeticError`` takes the
+    untruncated sample moments with a warning that gives the reason.
     """
     x = np.asarray(column, dtype=float).ravel()
     if x.size < 10:
@@ -321,33 +321,13 @@ def estimate_truncated_uni(column, bounds="observed_range") -> TruncGaussianUni:
         lo, hi = float(bounds[0]), float(bounds[1])
         if not lo < hi:
             raise DomainError("fixed bounds must satisfy lower < upper")
-    if math.isinf(lo) and math.isinf(hi):
-        return TruncGaussianUni(s_mean, s_var, lo, hi)
-
-    scale = math.sqrt(s_var)
-
-    def residual(params):
-        mu, log_sigma = params
-        sigma = math.exp(log_sigma)
-        m, v = truncated_moments(mu, sigma, lo, hi)
-        return [(m - s_mean) / scale, (v - s_var) / s_var]
-
     try:
-        sol = optimize.root(residual, x0=[s_mean, math.log(scale)], method="hybr",
-                            options={"xtol": 1e-12})
-        solved = sol.success and max(abs(r) for r in residual(sol.x)) < 1e-6
-    except ArithmeticError:
-        # the solver wandered where sigma or a pdf/mass ratio over- or underflows
-        solved = False
-    if solved:
-        mu, sigma = float(sol.x[0]), math.exp(float(sol.x[1]))
-        return TruncGaussianUni(mu, sigma * sigma, lo, hi)
-    warnings.warn(
-        "truncated-normal moment solve failed; falling back to untruncated "
-        "sample moments",
-        stacklevel=2,
-    )
-    return TruncGaussianUni(s_mean, s_var, lo, hi)
+        mu, sigma = fit_truncated_normal(s_mean, s_var, lo, hi)
+    except (ArithmeticError, DomainError) as e:  # too flat, mean off the bounds, overflow
+        warnings.warn(f"truncated-normal moment solve failed ({type(e).__name__}: {e}); "
+                      "falling back to untruncated sample moments", stacklevel=2)
+        return TruncGaussianUni(s_mean, s_var, lo, hi)
+    return TruncGaussianUni(mu, sigma * sigma, lo, hi)
 
 
 def _fit_mvn(name: str, matrix: np.ndarray, cfg: RunConfig,

@@ -38,6 +38,18 @@ def log_gauss_mass_mp(a: float, b: float) -> float:
         return float(mpmath.log(mpmath.ncdf(hi) - mpmath.ncdf(lo)))
 
 
+def truncated_moments_mp(mu: float, sigma: float, lo: float, hi: float) -> tuple[float, float]:
+    """Mean and variance of ``N(mu, sigma^2)`` truncated to ``(lo, hi)``, at 60 digits."""
+    with mpmath.workdps(60):
+        mu, sigma = mpmath.mpf(mu), mpmath.mpf(sigma)
+        a, b = ((mpmath.mpf(x) - mu) / sigma for x in (lo, hi))
+        mass = mpmath.ncdf(-a) - mpmath.ncdf(-b) if a > 0 else mpmath.ncdf(b) - mpmath.ncdf(a)
+        pa, pb = (0 if mpmath.isinf(x) else mpmath.npdf(x) for x in (a, b))
+        xa, xb = (0 if mpmath.isinf(x) else x * mpmath.npdf(x) for x in (a, b))
+        shift = (pa - pb) / mass
+        return float(mu + sigma * shift), float(sigma ** 2 * (1 + (xa - xb) / mass - shift ** 2))
+
+
 def orthant_bivariate(rho: float) -> float:
     """P(X<0, Y<0) for standard bivariate normal with correlation rho."""
     return 0.25 + math.asin(rho) / (2.0 * math.pi)

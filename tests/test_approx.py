@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from distsim import (
     DiscreteApprox,
@@ -12,6 +13,7 @@ from distsim import (
     InvalidDistribution,
     MomentMatrixNotPD,
     NLNComponent,
+    NonConvergence,
     QuadConfig,
     bc_coefficient_discrete,
     integrate_1d,
@@ -19,6 +21,7 @@ from distsim import (
     nln_density,
     nln_sum_density,
 )
+from distsim import approx
 
 from oracles import (
     GAUSS_HERMITE_2_NODES,
@@ -180,6 +183,15 @@ class TestMomentMatch:
         # m_2 < m_1^2 is impossible for any distribution
         with pytest.raises(MomentMatrixNotPD):
             moment_match(np.array([1.0, 1.0, 0.5, 0.0, 1.0, 0.0]), 3)
+
+    def test_unmatched_nodes_raise(self, monkeypatch):
+        def perturbed(alpha, off):
+            nodes, vecs = eigh_tridiagonal(alpha, off)
+            return nodes + 1e-3, vecs
+
+        monkeypatch.setattr(approx, "eigh_tridiagonal", perturbed)
+        with pytest.raises(NonConvergence, match="1e-8"):
+            moment_match(STD_NORMAL_MOMENTS, 3)
 
     def test_leading_moment_must_be_one(self):
         with pytest.raises(DomainError):

@@ -189,12 +189,16 @@ class TestObjectMemo:
         objs = [GaussianMulti([0.0], [[1.0]]) for _ in range(4)]
         keys = range(8)
         seen = []
+        computed = []
         lock = threading.Lock()
         start = threading.Barrier(8, timeout=30)
 
         def compute():
             time.sleep(1e-4)  # widen the window between a miss and its store
-            return object()
+            value = object()
+            with lock:
+                computed.append(value)
+            return value
 
         def work():
             start.wait()
@@ -222,4 +226,17 @@ class TestObjectMemo:
         # a lost update would hand two threads different values for one key
         assert len(by_key) == len(objs) * len(keys)
         assert all(len(ids) == 1 for ids in by_key.values())
+        # a racing thread waits for the first computation instead of repeating it
+        assert len(computed) == len(objs) * len(keys)
         assert len(memo) == len(objs)
+
+    def test_failed_compute_leaves_the_slot_empty(self):
+        memo = ObjectMemo()
+        obj = GaussianMulti([0.0], [[1.0]])
+
+        def fail():
+            raise ZeroDivisionError("float division by zero")
+
+        with pytest.raises(ZeroDivisionError):
+            memo.get(obj, "x", fail)
+        assert memo.get(obj, "x", lambda: 2) == 2

@@ -11,6 +11,7 @@ from distsim import (
     DomainError,
     GaussianMulti,
     GaussianUni,
+    NoSolution,
     NotPositiveDefinite,
     QuadConfig,
     TruncGaussianMulti,
@@ -24,7 +25,7 @@ from distsim import (
     truncation_inequality_holds_mvn,
     truncation_inequality_holds_uni,
 )
-from distsim.gaussian import truncated_moments, truncated_mvn_terms
+from distsim.gaussian import fit_truncated_normal, truncated_moments, truncated_mvn_terms
 
 from oracles import (
     bc_coefficient_mc_mvn,
@@ -251,6 +252,35 @@ class TestTruncatedUniTails:
         m, v = truncated_moments(mu, sigma, lo, hi)
         assert m == pytest.approx(float(want_m), rel=1e-12, abs=0.0)
         assert v == pytest.approx(float(want_v), rel=1e-9, abs=0.0)
+
+
+class TestFitTruncatedNormal:
+    """The Newton moment fit inverts ``truncated_moments``."""
+
+    @pytest.mark.parametrize("lo, hi, mu, sigma", [
+        # finite intervals
+        (-1.0, 1.0, 0.3, 0.8), (-1.0, 1.0, -2.0, 1.5), (-0.5, 2.0, 1.0, 0.5),
+        (1.0, 3.0, 0.0, 1.0), (-3.0, -2.0, 0.5, 2.0), (0.0, 3.0, 4.0, 1.0),
+        # half-infinite, both directions
+        (0.0, math.inf, 0.5, 1.0), (-1.5, math.inf, -3.0, 2.0),
+        (-math.inf, 0.5, 1.0, 0.7), (-math.inf, -2.0, 0.0, 1.0),
+        # one-sided cuts to +-5 sigma
+        (-5.0, math.inf, 0.0, 1.0), (2.5, math.inf, 0.0, 1.0), (5.0, math.inf, 0.0, 1.0),
+        (-math.inf, 5.0, 0.0, 1.0), (-math.inf, -3.5, 0.0, 1.0), (-math.inf, -5.0, 0.0, 1.0),
+    ])
+    def test_round_trips_exact_moments(self, lo, hi, mu, sigma):
+        fit_mu, fit_sigma = fit_truncated_normal(*truncated_moments(mu, sigma, lo, hi), lo, hi)
+        assert abs(fit_mu - mu) <= 1e-9 * sigma
+        assert fit_sigma == pytest.approx(sigma, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("mean, var, lo, hi", [
+        (0.0, 0.34, -1.0, 1.0),          # wider than the uniform on the interval
+        (1.0, 1.5, 0.0, math.inf),       # heavier than the exponential
+        (-1.0, 1.2, -math.inf, 0.0),
+    ])
+    def test_flatter_than_every_truncated_normal_has_no_solution(self, mean, var, lo, hi):
+        with pytest.raises(NoSolution, match="flatter than any truncated normal"):
+            fit_truncated_normal(mean, var, lo, hi)
 
 
 def copy_trunc(t: TruncGaussianMulti) -> TruncGaussianMulti:

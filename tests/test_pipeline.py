@@ -2,9 +2,11 @@
 
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from distsim import gaussian, pipeline, quadrature
 from distsim.cli import main
@@ -24,6 +26,8 @@ from distsim import (
     estimate_truncated_uni,
     load_group,
 )
+
+from oracles import truncated_moments_mp
 
 
 def write_csv(path, header, rows):
@@ -106,6 +110,13 @@ class TestEstimateMvn:
             estimate_mvn(SampleMatrix(np.ones((30, 3))), 0.0)
 
 
+def scaled_residual(fit, x) -> float:
+    """Largest of the mean gap in sd units and the relative variance gap."""
+    m, v = truncated_moments_mp(fit.mu, fit.sigma, fit.lower, fit.upper)
+    s_var = float(x.var(ddof=1))
+    return max(abs(m - float(x.mean())) / math.sqrt(s_var), abs(v - s_var) / s_var)
+
+
 class TestEstimateTruncatedUni:
     def test_recovers_truncation_parameters(self):
         rng = np.random.default_rng(3)
@@ -135,20 +146,56 @@ class TestEstimateTruncatedUni:
         # so the finite solve cannot match and the fallback engages
         rng = np.random.default_rng(55)
         x = rng.uniform(-1.0, 1.0, size=5000)
-        with pytest.warns(UserWarning, match="falling back"):
+        with pytest.warns(UserWarning, match="falling back") as record:
             fit = estimate_truncated_uni(x, bounds="observed_range")
         assert fit.mu == pytest.approx(x.mean())
+        assert "flatter than any truncated normal" in str(record[0].message)
 
     def test_arithmetic_error_in_solve_falls_back_with_warning(self, monkeypatch):
         def underflowed(*args):
             raise ZeroDivisionError("float division by zero")
 
-        monkeypatch.setattr(pipeline, "truncated_moments", underflowed)
+        monkeypatch.setattr(pipeline, "fit_truncated_normal", underflowed)
         x = np.random.default_rng(56).standard_normal(300)
-        with pytest.warns(UserWarning, match="falling back"):
+        with pytest.warns(UserWarning, match="falling back") as record:
             fit = estimate_truncated_uni(x, bounds="observed_range")
         assert fit.mu == pytest.approx(x.mean())
         assert fit.sigma2 == pytest.approx(x.var(ddof=1))
+        assert "ZeroDivisionError: float division by zero" in str(record[0].message)
+
+    def test_fixed_bounds_excluding_the_mean_fall_back_with_reason(self):
+        x = np.random.default_rng(57).standard_normal(300)
+        with pytest.warns(UserWarning, match="DomainError.*lo < mean < hi"):
+            fit = estimate_truncated_uni(x, bounds=(5.0, 9.0))
+        assert fit.mu == pytest.approx(x.mean())
+
+    def test_converged_solve_is_kept(self):
+        # a solve that reaches a 2e-16 residual must not be thrown away
+        x = np.random.default_rng(65).standard_normal(250)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = estimate_truncated_uni(x)
+        assert scaled_residual(fit, x) <= 1e-9
+        assert (fit.mu, fit.sigma2) == pytest.approx((0.0528598, 1.2070827), abs=1e-7)
+
+    def test_fixed_bound_sweep(self):
+        """300 seeded truncnorm columns: a third each finite, lower-only, upper-only."""
+        rng = np.random.default_rng(7)
+        fallbacks = 0
+        for i in range(300):
+            lo, hi = np.sort(rng.uniform(-6.0, 5.0, size=2))
+            lo, hi = [(lo, hi), (lo, math.inf), (-math.inf, hi)][i % 3]
+            x = stats.truncnorm.rvs(lo, hi, size=400, random_state=rng)
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                fit = estimate_truncated_uni(x, bounds=(lo, hi))
+            if record:
+                assert "flatter than any truncated normal" in str(record[0].message)
+                fallbacks += 1
+            else:
+                # near-flat fits (sigma ~100x the interval) keep ~2e-9 of rounding
+                assert scaled_residual(fit, x) <= 5e-9
+        assert fallbacks <= 22  # as many as the (mu, ln sigma) root solve this replaced
 
     def test_constant_column_rejected(self):
         with pytest.raises(DegenerateData):
@@ -501,12 +548,8 @@ class TestBoxNormaliserMemo:
         pairs = g * (g - 1) // 2
         # every pair still asks for its three boxes
         assert box_calls["mvn_rect_prob"] == iterations * 3 * pairs
-        # two threads may both compute a normaliser they race to
-        expected = iterations * (g + pairs)
-        if threads == "1":
-            assert computed["_box_prob"] == expected
-        else:
-            assert expected <= computed["_box_prob"] < iterations * 3 * pairs
+        # threads racing to one normaliser wait for a single computation
+        assert computed["_box_prob"] == iterations * (g + pairs)
 
     def test_memo_dies_with_the_fits(self, monkeypatch):
         gc.collect()
