@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .core import DiscreteDist
+from .core import DiscreteDist, _freeze
 from .errors import (
     DomainError,
     GridTooCoarse,
@@ -53,6 +53,8 @@ _MIX_RANGE_SIGMAS = 10.0
 #: default grid resolution and half-span (in combined standard deviations).
 DEFAULT_GRID_POINTS = 4096
 DEFAULT_GRID_SPAN = 12.0
+#: probability mass a grid density may lose or gain (numeric convolutions included).
+GRID_MASS_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -79,14 +81,12 @@ class NLNComponent:
 class GridDensity:
     """Density sampled on an equally spaced grid.
 
-    ``mass_tol`` bounds how far the trapezoid mass may sit from 1; grid
-    products of numeric convolutions use a looser budget than analytically
-    sampled densities.
+    Its trapezoid mass must lie within :data:`GRID_MASS_TOL` of 1, otherwise
+    :class:`GridTooCoarse` is raised.
     """
 
     x: np.ndarray
     values: np.ndarray
-    mass_tol: float = 1e-6
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -99,14 +99,11 @@ class GridDensity:
         if np.any(v < 0):
             raise InvalidDistribution("density values must be >= 0")
         mass = float(np.trapezoid(v, x))
-        if abs(mass - 1.0) > self.mass_tol:
-            raise GridTooCoarse(
-                f"grid mass {mass!r} deviates from 1 beyond {self.mass_tol}"
-            )
-        for name, arr in (("x", x), ("values", v)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        if abs(mass - 1.0) > GRID_MASS_TOL:
+            raise GridTooCoarse(f"grid retains mass {mass!r}, more than {GRID_MASS_TOL} "
+                                "from 1; widen the span or refine the grid")
+        object.__setattr__(self, "x", _freeze(x))
+        object.__setattr__(self, "values", _freeze(v))
 
     @property
     def spacing(self) -> float:
@@ -169,8 +166,8 @@ def nln_sum_density(comps: list[NLNComponent],
 
     Each component is sampled on a common grid spanning ``span_sigmas``
     combined standard deviations and the sum density is built by pairwise
-    discrete convolution. Raises :class:`GridTooCoarse` when more than 1e-4
-    of probability mass is lost to the grid.
+    discrete convolution. Raises :class:`GridTooCoarse` when more than
+    :data:`GRID_MASS_TOL` of probability mass is lost to the grid.
     """
     if not comps:
         raise DomainError("need at least one component")
@@ -185,13 +182,7 @@ def nln_sum_density(comps: list[NLNComponent],
     for comp in comps[1:]:
         nxt = _component_on_grid(xs, comp, cfg)
         dens = np.convolve(dens, nxt)[center:center + n_points] * h
-    dens = np.maximum(dens, 0.0)
-    mass = float(np.trapezoid(dens, xs))
-    if abs(mass - 1.0) > 1e-4:
-        raise GridTooCoarse(
-            f"convolution grid retains mass {mass!r}; widen the span or refine the grid"
-        )
-    return GridDensity(xs, dens, mass_tol=1e-4)
+    return GridDensity(xs, np.maximum(dens, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,10 +203,8 @@ class DiscreteApprox:
             raise InvalidDistribution("weights must be >= 0")
         if abs(float(weights.sum()) - 1.0) > 1e-10:
             raise InvalidDistribution("weights must sum to 1 within 1e-10")
-        for name, arr in (("nodes", nodes), ("weights", weights)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "nodes", _freeze(nodes))
+        object.__setattr__(self, "weights", _freeze(weights))
 
     def moment(self, j: int) -> float:
         return float(self.weights @ self.nodes ** j)

@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -106,8 +107,6 @@ def _cmd_distance(args) -> int:
         raise DomainError(
             f"cannot compare {type(a).__name__} with {type(b).__name__}"
         )
-    if type(a) not in _DISTANCES:
-        raise DomainError(f"unsupported distribution type {type(a).__name__}")
     value = _DISTANCES[type(a)](a, b, args)
     _emit({
         "coefficient": value.coefficient,
@@ -119,31 +118,16 @@ def _cmd_distance(args) -> int:
 # ------------------------------------------------------------------ compare
 
 def _cmd_compare(args) -> int:
-    base = {}
-    if args.config:
-        base = json.loads(Path(args.config).read_text())
-    overrides = {
-        "method": args.method,
-        "sig_digits": args.sig_digits,
-        "epsilon": args.epsilon,
-        "k": args.k,
-        "fit": args.fit,
-        "n_nodes": args.nodes,
-        "iterations": args.iterations,
-        "seed": args.seed,
-        "shrinkage": args.shrinkage,
-        "log_returns": args.log_returns or None,
-        "mc_samples": args.mc_samples,
-    }
-    merged = dict(base)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    if args.bounds is not None:
-        merged["bounds"] = (args.bounds if args.bounds == "observed_range"
-                            else [float(x) for x in args.bounds.split(",")])
-    merged.setdefault("log_returns", False)
+    merged = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(merged, dict):
+        raise DomainError(f"{args.config}: a run config is a JSON object")
+    # each flag's dest is the name of the RunConfig field it overrides
+    merged.update({f.name: getattr(args, f.name) for f in fields(RunConfig)
+                   if getattr(args, f.name, None) is not None})
+    if args.bounds not in (None, "observed_range"):
+        merged["bounds"] = [float(x) for x in args.bounds.split(",")]
     if getattr(args, "strict", False) and merged.get("seed") is None:
         raise DomainError("--seed is mandatory in --strict mode for randomized commands")
-    merged.setdefault("seed", 0)
     cfg = RunConfig.from_dict(merged)
 
     names = args.names.split(",") if args.names else None
@@ -326,11 +310,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", choices=("mvn", "truncated", "discrete"), default=None)
     p.add_argument("--bounds", default=None,
                    help="'observed_range' or 'lower,upper' for the truncated fit")
-    p.add_argument("--nodes", type=int, default=None, help="discrete-fit node count")
+    p.add_argument("--nodes", dest="n_nodes", type=int, default=None,
+                   help="discrete-fit node count")
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--shrinkage", type=float, default=None)
-    p.add_argument("--log-returns", action="store_true")
+    p.add_argument("--log-returns", action="store_true", default=None)
     p.add_argument("--mc-samples", dest="mc_samples", type=int, default=None)
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_compare)

@@ -10,10 +10,16 @@ re-checks an existing instance the same way.
 Truncation bounds use genuine IEEE infinities (``float("inf")``), never
 large-number sentinels, so untruncated limits are exact.
 
-Serialization: every distribution type round-trips through JSON with
-fields stored by name and infinities encoded as the strings ``"-inf"`` /
-``"+inf"``; :class:`SampleMatrix` reads and writes CSV with the header row
-holding column labels and one row per observation.
+Serialization: the five distribution types share one JSON form,
+``{"type": class name, field: value, ...}`` in field order, with arrays as
+nested lists, infinities as the strings ``"-inf"`` / ``"+inf"`` and a
+``None`` field left out. Reading it back refuses a non-object document, a
+missing field or a value of the wrong JSON type (including numbers written
+as strings) with :class:`~distsim.errors.InvalidDistribution`. CSV input
+goes through :func:`read_csv`: a header row of column labels, then one row
+per observation; a ragged row, a non-numeric cell or (unless the caller
+tolerates it) a missing cell raises :class:`~distsim.errors.ParseError`
+naming the row and the column.
 """
 
 from __future__ import annotations
@@ -24,12 +30,12 @@ import math
 import threading
 import warnings
 import weakref
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidDistribution
+from .errors import InvalidDistribution, ParseError
 
 __all__ = [
     "DiscreteDist",
@@ -47,6 +53,7 @@ __all__ = [
     "validate",
     "to_json",
     "from_json",
+    "read_csv",
 ]
 
 # Real function of one / two real arguments (densities, integrands, c(t), h(u), ...)
@@ -59,6 +66,13 @@ PROB_SUM_TOL = 1e-12
 PROB_SUM_RENORM_TOL = 1e-9
 #: covariance symmetry tolerance (max abs deviation).
 SYMMETRY_TOL = 1e-10
+#: largest |diagonal entry| a DistanceMatrix accepts as zero.
+DIAG_TOL = 1e-9
+#: CSV cell tokens (stripped, lower-cased) that mean "no value".
+NA_TOKENS = frozenset({"", "na", "nan", "null", "none", "n/a"})
+#: JSON has no literal for an infinity, so one travels as one of these strings.
+_INF_TEXT = {math.inf: "+inf", -math.inf: "-inf"}
+_TEXT_INF = {"+inf": math.inf, "inf": math.inf, "-inf": -math.inf}
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -102,8 +116,74 @@ class ObjectMemo:
             return len(self._table)
 
 
+def _encode(value):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (tuple, np.ndarray)):
+        return [_encode(x) for x in value]
+    value = float(value)
+    return _INF_TEXT.get(value, value)
+
+
+def _decode(name: str, kind: str, value):
+    """One JSON field value as the type its annotation ``kind`` names."""
+    if kind == "float":
+        if isinstance(value, str) and value in _TEXT_INF:
+            return _TEXT_INF[value]
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    elif kind == "np.ndarray":
+        if isinstance(value, list):
+            items = [_decode(name, kind if isinstance(x, list) else "float", x)
+                     for x in value]
+            try:
+                return np.array(items, dtype=float)
+            except ValueError:  # rows of different lengths
+                raise InvalidDistribution(f"field {name!r} is a ragged array") from None
+    elif isinstance(value, list) and all(isinstance(x, str) for x in value):
+        return tuple(value)  # labels, the one field of strings
+    raise InvalidDistribution(f"field {name!r} has the wrong JSON type: {value!r:.60}")
+
+
+class _Distribution:
+    """A distribution type whose dataclass fields drive its checks and JSON form.
+
+    Construction turns ``float`` fields into floats and ``np.ndarray`` fields
+    into read-only float arrays, then raises :class:`InvalidDistribution`
+    with the first violation ``check`` reports for the field values.
+    """
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float":
+                object.__setattr__(self, f.name, float(getattr(self, f.name)))
+            elif f.type == "np.ndarray":
+                object.__setattr__(self, f.name, _freeze(getattr(self, f.name)))
+        msg = validate(self)
+        if msg is not None:
+            raise InvalidDistribution(msg)
+
+    def to_dict(self) -> dict:
+        d = {"type": type(self).__name__}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                d[f.name] = _encode(value)
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        kwargs = {}
+        for f in fields(cls):
+            if d.get(f.name) is not None:
+                kwargs[f.name] = _decode(f.name, f.type, d[f.name])
+            elif f.default is MISSING:
+                raise InvalidDistribution(f"{cls.__name__} needs the field {f.name!r}")
+        return cls(**kwargs)
+
+
 @dataclass(frozen=True, eq=False)
-class DiscreteDist:
+class DiscreteDist(_Distribution):
     """Probability vector over ``k`` categories.
 
     ``probs`` must be nonnegative and sum to 1 within ``1e-12``. Sums off by
@@ -130,17 +210,13 @@ class DiscreteDist:
         return None
 
     def __post_init__(self):
-        msg = self.check(self.probs, self.labels)
-        if msg is not None:
-            raise InvalidDistribution(msg)
-        p = np.asarray(self.probs, dtype=float)
-        s = float(p.sum())
+        super().__post_init__()
+        s = float(self.probs.sum())
         if abs(s - 1.0) > PROB_SUM_TOL:
             warnings.warn(
                 f"probability vector sums to {s!r}; renormalizing", stacklevel=3
             )
-            p = p / s
-        object.__setattr__(self, "probs", _freeze(p))
+            object.__setattr__(self, "probs", _freeze(self.probs / s))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
 
@@ -148,20 +224,9 @@ class DiscreteDist:
     def k(self) -> int:
         return int(self.probs.size)
 
-    def to_dict(self) -> dict:
-        d = {"type": "DiscreteDist", "probs": [float(x) for x in self.probs]}
-        if self.labels is not None:
-            d["labels"] = list(self.labels)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DiscreteDist":
-        return cls(np.asarray(d["probs"], dtype=float),
-                   tuple(d["labels"]) if d.get("labels") is not None else None)
-
 
 @dataclass(frozen=True, eq=False)
-class GaussianUni:
+class GaussianUni(_Distribution):
     """Univariate normal, parameterized by mean and variance (``sigma2``)."""
 
     mu: float
@@ -175,13 +240,6 @@ class GaussianUni:
             return f"sigma2 must be > 0, got {sigma2!r}"
         return None
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "sigma2", float(self.sigma2))
-        msg = self.check(self.mu, self.sigma2)
-        if msg is not None:
-            raise InvalidDistribution(msg)
-
     @property
     def sigma(self) -> float:
         """Standard deviation (square root of the stored variance)."""
@@ -191,13 +249,6 @@ class GaussianUni:
         x = np.asarray(x, dtype=float)
         z = (x - self.mu) / self.sigma
         return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
-
-    def to_dict(self) -> dict:
-        return {"type": "GaussianUni", "mu": self.mu, "sigma2": self.sigma2}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaussianUni":
-        return cls(float(d["mu"]), float(d["sigma2"]))
 
 
 def _check_cov(cov: np.ndarray) -> str | None:
@@ -214,7 +265,7 @@ def _check_cov(cov: np.ndarray) -> str | None:
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianMulti:
+class GaussianMulti(_Distribution):
     """Multivariate normal with mean vector and positive definite covariance."""
 
     mu: np.ndarray
@@ -233,13 +284,6 @@ class GaussianMulti:
             return "mu and cov dimensions do not match"
         return None
 
-    def __post_init__(self):
-        msg = self.check(self.mu, self.cov)
-        if msg is not None:
-            raise InvalidDistribution(msg)
-        object.__setattr__(self, "mu", _freeze(np.asarray(self.mu, dtype=float)))
-        object.__setattr__(self, "cov", _freeze(np.asarray(self.cov, dtype=float)))
-
     @property
     def k(self) -> int:
         return int(self.mu.size)
@@ -252,38 +296,9 @@ class GaussianMulti:
         q = float(d @ sol)
         return math.exp(-0.5 * (q + logdet + self.k * math.log(2.0 * math.pi)))
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "GaussianMulti",
-            "mu": [float(x) for x in self.mu],
-            "cov": [[float(x) for x in row] for row in self.cov],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaussianMulti":
-        return cls(np.asarray(d["mu"], dtype=float), np.asarray(d["cov"], dtype=float))
-
-
-def _enc_bound(x: float):
-    if x == math.inf:
-        return "+inf"
-    if x == -math.inf:
-        return "-inf"
-    return float(x)
-
-
-def _dec_bound(x) -> float:
-    if isinstance(x, str):
-        if x in ("+inf", "inf"):
-            return math.inf
-        if x == "-inf":
-            return -math.inf
-        raise InvalidDistribution(f"unrecognized bound encoding {x!r}")
-    return float(x)
-
 
 @dataclass(frozen=True, eq=False)
-class TruncGaussianUni:
+class TruncGaussianUni(_Distribution):
     """Univariate normal restricted to ``(lower, upper)`` and renormalized.
 
     Bounds may be ``-inf`` / ``+inf``; both infinite reproduces the parent
@@ -306,15 +321,6 @@ class TruncGaussianUni:
             return f"lower bound {lower!r} must be < upper bound {upper!r}"
         return None
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "sigma2", float(self.sigma2))
-        object.__setattr__(self, "lower", float(self.lower))
-        object.__setattr__(self, "upper", float(self.upper))
-        msg = self.check(self.mu, self.sigma2, self.lower, self.upper)
-        if msg is not None:
-            raise InvalidDistribution(msg)
-
     @property
     def sigma(self) -> float:
         return math.sqrt(self.sigma2)
@@ -323,23 +329,9 @@ class TruncGaussianUni:
         """The untruncated normal with the same location/scale parameters."""
         return GaussianUni(self.mu, self.sigma2)
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "TruncGaussianUni",
-            "mu": self.mu,
-            "sigma2": self.sigma2,
-            "lower": _enc_bound(self.lower),
-            "upper": _enc_bound(self.upper),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TruncGaussianUni":
-        return cls(float(d["mu"]), float(d["sigma2"]),
-                   _dec_bound(d["lower"]), _dec_bound(d["upper"]))
-
 
 @dataclass(frozen=True, eq=False)
-class TruncGaussianMulti:
+class TruncGaussianMulti(_Distribution):
     """Multivariate normal restricted to the box ``[lower, upper]``.
 
     Bound entries may be infinite coordinate-wise.
@@ -367,12 +359,7 @@ class TruncGaussianMulti:
         return None
 
     def __post_init__(self):
-        msg = self.check(self.mu, self.cov, self.lower, self.upper)
-        if msg is not None:
-            raise InvalidDistribution(msg)
-        for name in ("mu", "cov", "lower", "upper"):
-            object.__setattr__(self, name,
-                               _freeze(np.asarray(getattr(self, name), dtype=float)))
+        super().__post_init__()
         # built once, so every pair sees the same object and its memoised terms
         object.__setattr__(self, "_parent", GaussianMulti(self.mu, self.cov))
 
@@ -386,24 +373,6 @@ class TruncGaussianMulti:
         The same object on every call, for the lifetime of this instance.
         """
         return self._parent
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "TruncGaussianMulti",
-            "mu": [float(x) for x in self.mu],
-            "cov": [[float(x) for x in row] for row in self.cov],
-            "lower": [_enc_bound(float(x)) for x in self.lower],
-            "upper": [_enc_bound(float(x)) for x in self.upper],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TruncGaussianMulti":
-        return cls(
-            np.asarray(d["mu"], dtype=float),
-            np.asarray(d["cov"], dtype=float),
-            np.asarray([_dec_bound(x) for x in d["lower"]], dtype=float),
-            np.asarray([_dec_bound(x) for x in d["upper"]], dtype=float),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,13 +473,43 @@ class SampleMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "SampleMatrix":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows:
-            raise InvalidDistribution(f"{path}: empty CSV")
-        header = tuple(rows[0])
-        body = np.asarray([[float(x) for x in row] for row in rows[1:]], dtype=float)
+        """Read what :meth:`to_csv` writes; a missing cell raises ``ParseError``."""
+        header, body = read_csv(path)
         return cls(body, header)
+
+
+def read_csv(path, allow_missing: bool = False) -> tuple[tuple[str, ...], np.ndarray]:
+    """The stripped header labels and the data rows of a CSV, as floats.
+
+    Rows are numbered from the header, row 1. A row with the wrong cell count
+    or a cell that is neither a number nor one of :data:`NA_TOKENS` raises
+    :class:`ParseError` naming the row and the column. NA tokens and
+    non-finite numbers are missing: kept as non-finite values when
+    ``allow_missing``, otherwise refused the same way.
+    """
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if len(rows) < 2:
+        raise ParseError(f"{path}: need a header row and at least one data row")
+    header = tuple(h.strip() for h in rows[0])
+    n_cols = len(header)
+    body = np.empty((len(rows) - 1, n_cols))
+    for r, row in enumerate(rows[1:], start=2):
+        if len(row) != n_cols:
+            raise ParseError(f"{path}: row {r} has {len(row)} cells, expected {n_cols}; "
+                             f"column {min(len(row), n_cols) + 1} is the first that differs")
+        for c, cell in enumerate(row):
+            token = cell.strip()
+            try:
+                value = math.nan if token.lower() in NA_TOKENS else float(token)
+            except ValueError:
+                raise ParseError(f"{path}: non-numeric cell {cell!r} at row {r}, "
+                                 f"column {header[c]!r}") from None
+            if not (allow_missing or math.isfinite(value)):
+                raise ParseError(f"{path}: missing or non-finite cell {cell!r} at row {r}, "
+                                 f"column {header[c]!r}")
+            body[r - 2, c] = value
+    return header, body
 
 
 @dataclass(frozen=True, eq=False)
@@ -523,7 +522,6 @@ class DistanceMatrix:
     labels: tuple[str, ...]
     values: np.ndarray
     symmetric: bool = False
-    diag_tol: float = 1e-9
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -534,7 +532,7 @@ class DistanceMatrix:
             raise InvalidDistribution("distances must not be NaN")
         if np.any(v < 0):
             raise InvalidDistribution("distances must be >= 0")
-        if np.max(np.abs(np.diag(v))) > self.diag_tol:
+        if np.max(np.abs(np.diag(v))) > DIAG_TOL:
             raise InvalidDistribution("diagonal must be zero")
         if self.symmetric:
             finite = np.isfinite(v)
@@ -574,34 +572,16 @@ class QuadResult:
             raise InvalidDistribution("error_estimate must be >= 0")
 
 
-_TYPES = {
-    "DiscreteDist": DiscreteDist,
-    "GaussianUni": GaussianUni,
-    "GaussianMulti": GaussianMulti,
-    "TruncGaussianUni": TruncGaussianUni,
-    "TruncGaussianMulti": TruncGaussianMulti,
-}
-
-
 def validate(dist) -> str | None:
     """Re-check an existing instance; return the first violation or ``None``.
 
     Never raises. Instances built through the public constructors always
     come back clean; this is the reporting twin of the constructor checks.
     """
-    if isinstance(dist, DiscreteDist):
-        return DiscreteDist.check(dist.probs, dist.labels)
-    if isinstance(dist, TruncGaussianUni):
-        return TruncGaussianUni.check(dist.mu, dist.sigma2, dist.lower, dist.upper)
-    if isinstance(dist, GaussianUni):
-        return GaussianUni.check(dist.mu, dist.sigma2)
-    if isinstance(dist, TruncGaussianMulti):
-        return TruncGaussianMulti.check(dist.mu, dist.cov, dist.lower, dist.upper)
-    if isinstance(dist, GaussianMulti):
-        return GaussianMulti.check(dist.mu, dist.cov)
-    if isinstance(dist, SampleMatrix):
-        return SampleMatrix.check(dist.values, dist.labels)
-    return f"unsupported type {type(dist).__name__}"
+    check = getattr(type(dist), "check", None)
+    if check is None or not is_dataclass(dist):
+        return f"unsupported type {type(dist).__name__}"
+    return check(*(getattr(dist, f.name) for f in fields(dist)))
 
 
 def to_json(dist) -> str:
@@ -610,9 +590,18 @@ def to_json(dist) -> str:
 
 
 def from_json(text: str):
-    """Inverse of :func:`to_json`; dispatches on the embedded "type" field."""
-    d = json.loads(text)
-    name = d.get("type")
-    if name not in _TYPES:
-        raise InvalidDistribution(f"unknown distribution type {name!r}")
-    return _TYPES[name].from_dict(d)
+    """Inverse of :func:`to_json`; dispatches on the embedded "type" field.
+
+    Text that is not a JSON object of a known type, with every field it
+    needs and of the right JSON type, raises :class:`InvalidDistribution`.
+    """
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InvalidDistribution(f"not a JSON document: {e}") from None
+    if not isinstance(d, dict):
+        raise InvalidDistribution(f"a distribution is a JSON object, not {type(d).__name__}")
+    cls = next((t for t in _Distribution.__subclasses__() if t.__name__ == d.get("type")), None)
+    if cls is None:
+        raise InvalidDistribution(f"unknown distribution type {d.get('type')!r}")
+    return cls.from_dict(d)

@@ -70,11 +70,12 @@ class DivergenceValue:
         if not -_COEFF_SLACK <= rho <= 1.0 + _COEFF_SLACK:
             raise DomainError(f"coefficient {rho!r} outside [0, 1] beyond tolerance")
         rho = min(max(float(rho), 0.0), 1.0)
-        return cls(rho, math.inf if rho == 0.0 else -math.log(rho))
+        # 0.0 - x, not -x: a coefficient of 1 gives distance +0.0, never -0.0
+        return cls(rho, math.inf if rho == 0.0 else 0.0 - math.log(rho))
 
     @classmethod
     def from_distance(cls, d: float) -> "DivergenceValue":
-        d = max(float(d), 0.0)
+        d = max(float(d), 0.0) + 0.0  # + 0.0 turns -0.0 into +0.0
         if math.isinf(d):
             return cls(0.0, math.inf)
         rho = math.exp(-d)

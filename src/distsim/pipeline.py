@@ -35,12 +35,12 @@ changing results; a value that is not a positive integer is rejected.
 
 from __future__ import annotations
 
-import csv
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Sequence
 
@@ -52,6 +52,7 @@ from .core import (
     SampleMatrix,
     TruncGaussianMulti,
     TruncGaussianUni,
+    read_csv,
 )
 from .divergence import DivergenceValue
 from .errors import (
@@ -60,7 +61,6 @@ from .errors import (
     DomainError,
     EmptyAfterCleaning,
     InvalidDistribution,
-    ParseError,
 )
 from .gaussian import bc_mvn, bc_truncated_mvn, fit_truncated_normal
 from .approx import moment_match
@@ -81,8 +81,8 @@ __all__ = [
 SHRINKAGE_LADDER = (0.0, 0.01, 0.05, 0.1, 0.25)
 #: covariance condition number accepted by the estimators.
 MAX_COND = 1e10
-#: tokens treated as missing values when loading CSVs.
-_NA_TOKENS = {"", "na", "nan", "null", "none", "n/a"}
+#: RunConfig field annotation -> the values it admits (bool is no number here).
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
 
 _ENV_THREADS = "DISTSIM_THREADS"
 
@@ -109,7 +109,8 @@ class RunConfig:
     from ``k`` when given, otherwise from the distortion budget ``epsilon``
     and the row count. ``fit`` is one of ``mvn``, ``truncated``,
     ``discrete``; ``bounds`` applies to the truncated fit and is either
-    ``"observed_range"`` or a fixed ``(lower, upper)`` pair.
+    ``"observed_range"`` or a fixed ``(lower, upper)`` pair. A field whose
+    value is not of its annotated type raises :class:`DomainError`.
     """
 
     method: str = "jl"
@@ -127,6 +128,14 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, _, optional = f.type.partition(" | ")
+            value = getattr(self, f.name)
+            if kind == "object" or value is None and optional:
+                continue
+            if (not isinstance(value, _FIELD_KINDS[kind])
+                    or isinstance(value, bool) and kind != "bool"):
+                raise DomainError(f"{f.name} must be {f.type}, got {value!r}")
         if self.method not in ("pca", "jl"):
             raise DomainError(f"method must be 'pca' or 'jl', got {self.method!r}")
         if self.fit not in _FAMILIES:
@@ -141,37 +150,25 @@ class RunConfig:
             raise DomainError("n_nodes must be >= 1")
         if self.method == "jl" and self.k is None and self.epsilon is None:
             raise DomainError("the jl method needs either k or epsilon")
-        if not isinstance(self.bounds, str):
+        if isinstance(self.bounds, str):
+            if self.bounds != "observed_range":
+                raise DomainError("bounds must be 'observed_range' or a (lower, upper) pair")
+        elif (isinstance(self.bounds, (tuple, list)) and len(self.bounds) == 2
+              and all(isinstance(x, numbers.Real) for x in self.bounds)):
             object.__setattr__(self, "bounds", tuple(float(x) for x in self.bounds))
-        elif self.bounds != "observed_range":
-            raise DomainError("bounds must be 'observed_range' or a (lower, upper) pair")
+        else:
+            raise DomainError(f"bounds must be a (lower, upper) pair, got {self.bounds!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "sig_digits": self.sig_digits,
-            "epsilon": self.epsilon,
-            "k": self.k,
-            "fit": self.fit,
-            "bounds": (self.bounds if isinstance(self.bounds, str)
-                       else list(self.bounds)),
-            "n_nodes": self.n_nodes,
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "shrinkage": self.shrinkage,
-            "log_returns": self.log_returns,
-            "mc_samples": self.mc_samples,
-            "out_dir": self.out_dir,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        if not isinstance(d, dict):
+            raise DomainError(f"a run config is a JSON object, not {type(d).__name__}")
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise DomainError(f"unknown config fields: {sorted(unknown)}")
-        if isinstance(d.get("bounds"), list):
-            d = {**d, "bounds": tuple(d["bounds"])}
         return cls(**d)
 
 
@@ -209,48 +206,21 @@ class ComparisonResult:
 def load_group(path, name: str) -> GroupDataset:
     """Load one group from CSV (header row = column labels).
 
-    Cells holding NA-like tokens count as missing; any column containing a
-    missing value is dropped with a warning (row count is preserved). A
-    cell that is neither numeric nor NA-like raises :class:`ParseError`
-    naming the row and column.
+    The file is read by :func:`~distsim.core.read_csv`, so a ragged row or
+    a cell that is neither numeric nor NA-like raises :class:`ParseError`
+    naming the row and column. A column holding a missing cell (an NA token
+    or a non-finite number) is dropped with a warning (row count is
+    preserved); :class:`EmptyAfterCleaning` if no column is left.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise ParseError(f"{path}: need a header row and at least one data row")
-    header = [h.strip() for h in rows[0]]
-    n_cols = len(header)
-    body = np.empty((len(rows) - 1, n_cols))
-    missing = np.zeros(n_cols, dtype=bool)
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != n_cols:
-            raise ParseError(f"{path}: row {r} has {len(row)} cells, expected {n_cols}")
-        for c, cell in enumerate(row):
-            token = cell.strip()
-            if token.lower() in _NA_TOKENS:
-                body[r - 2, c] = np.nan
-                missing[c] = True
-                continue
-            try:
-                value = float(token)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: non-numeric cell {cell!r} at row {r}, "
-                    f"column {header[c]!r}"
-                ) from None
-            if not math.isfinite(value):
-                body[r - 2, c] = np.nan
-                missing[c] = True
-            else:
-                body[r - 2, c] = value
-    if missing.any():
-        dropped = [header[i] for i in range(n_cols) if missing[i]]
+    header, body = read_csv(path, allow_missing=True)
+    keep = np.isfinite(body).all(axis=0)
+    if not keep.all():
+        dropped = [h for h, k in zip(header, keep) if not k]
         warnings.warn(
             f"{path}: dropped {len(dropped)} column(s) with missing values: "
             f"{', '.join(dropped[:8])}{'...' if len(dropped) > 8 else ''}",
             stacklevel=2,
         )
-    keep = ~missing
     if not keep.any():
         raise EmptyAfterCleaning(f"{path}: every column had missing values")
     return GroupDataset(name, SampleMatrix(

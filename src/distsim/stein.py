@@ -23,7 +23,7 @@ carries an error estimate obtained by halving the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -55,24 +55,15 @@ GRID_POINTS = 401
 MOMENT_TOL = 1e-4
 
 
-def _call2(f: ScalarFn2, tt: np.ndarray, uu: np.ndarray) -> np.ndarray:
+def _on_arrays(f: ScalarFn | ScalarFn2, *args: np.ndarray) -> np.ndarray:
+    """``f`` applied to whole arrays, or element by element if it takes only scalars."""
     try:
-        out = np.asarray(f(tt, uu), dtype=float)
-        if out.shape == tt.shape:
+        out = np.asarray(f(*args), dtype=float)
+        if out.shape == args[0].shape:
             return out
     except (TypeError, ValueError):
         pass
-    return np.vectorize(f, otypes=[float])(tt, uu)
-
-
-def _call1(f: ScalarFn, xs: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(f(xs), dtype=float)
-        if out.shape == xs.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.vectorize(f, otypes=[float])(xs)
+    return np.vectorize(f, otypes=[float])(*args)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,22 +92,17 @@ class JointDensitySpec:
         object.__setattr__(self, "mu_x", float(self.mu_x))
         object.__setattr__(self, "mu_y", float(self.mu_y))
         probes = np.linspace(a, b, 10)[1:-1]
-        for t in probes:
-            got = integrate_1d(lambda u, t=t: self.f_xy(t, u), a, b).value
-            want = float(self.f_x(t))
-            if abs(got - want) > MOMENT_TOL * max(1.0, abs(want)):
-                raise InvalidDistribution(
-                    f"joint integrated over u gives {got!r} at t={t!r}, "
-                    f"but f_x states {want!r}"
-                )
-        for u in probes:
-            got = integrate_1d(lambda t, u=u: self.f_xy(t, u), a, b).value
-            want = float(self.f_y(u))
-            if abs(got - want) > MOMENT_TOL * max(1.0, abs(want)):
-                raise InvalidDistribution(
-                    f"joint integrated over t gives {got!r} at u={u!r}, "
-                    f"but f_y states {want!r}"
-                )
+        for over, at, name, marginal, section in (
+                ("u", "t", "f_x", self.f_x, lambda t: lambda u: self.f_xy(t, u)),
+                ("t", "u", "f_y", self.f_y, lambda u: lambda t: self.f_xy(t, u))):
+            for p in probes:
+                got = integrate_1d(section(p), a, b).value
+                want = float(marginal(p))
+                if abs(got - want) > MOMENT_TOL * max(1.0, abs(want)):
+                    raise InvalidDistribution(
+                        f"joint integrated over {over} gives {got!r} at {at}={p!r}, "
+                        f"but {name} states {want!r}"
+                    )
 
     @classmethod
     def bivariate_normal(cls, mu_x: float = 0.0, mu_y: float = 0.0,
@@ -158,8 +144,8 @@ class JointDensitySpec:
         """Product joint of two independent marginals on a shared support."""
 
         def joint(t, u):
-            return np.asarray(_call1(f_x, np.asarray(t, dtype=float))
-                              * _call1(f_y, np.asarray(u, dtype=float)))
+            return np.asarray(_on_arrays(f_x, np.asarray(t, dtype=float))
+                              * _on_arrays(f_y, np.asarray(u, dtype=float)))
 
         return cls(joint, f_x, f_y, tuple(support), mu_x, mu_y)
 
@@ -178,8 +164,7 @@ class IdentityReport:
             raise DomainError("residual must be >= 0")
 
     def to_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "residual": self.residual,
-                "combined_error": self.combined_error}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -201,14 +186,7 @@ class PriceReport:
     restricted_direct: float
 
     def to_dict(self) -> dict:
-        return {
-            "routes": list(self.routes),
-            "max_residual": self.max_residual,
-            "combined_error": self.combined_error,
-            "restricted_terms": list(self.restricted_terms),
-            "restricted_total": self.restricted_total,
-            "restricted_direct": self.restricted_direct,
-        }
+        return asdict(self)
 
 
 class _Grid:
@@ -218,7 +196,7 @@ class _Grid:
         a, b = spec.support
         self.xs = np.linspace(a, b, n)
         tt, uu = np.meshgrid(self.xs, self.xs, indexing="ij")
-        self.joint = np.maximum(_call2(spec.f_xy, tt, uu), 0.0)
+        self.joint = np.maximum(_on_arrays(spec.f_xy, tt, uu), 0.0)
         cum = cumulative_trapezoid(self.joint, self.xs, axis=0, initial=0.0)
         # upper_tail[i, j] = integral of f(t, u_j) for t from xs[i] to b
         self.upper_tail = cum[-1][None, :] - cum
@@ -250,6 +228,16 @@ def _marginal_overlap(spec: JointDensitySpec, cfg: QuadConfig) -> float:
     return DivergenceValue.from_coefficient(rho).coefficient
 
 
+def _check_mean_h(spec: JointDensitySpec, h: ScalarFn, cfg: QuadConfig) -> None:
+    """Raise :class:`MomentMismatch` unless ``E[h(Y)] = mu_Y`` to 1e-4."""
+    a, b = spec.support
+    e_h = integrate_1d(lambda y: float(h(y)) * float(spec.f_y(y)), a, b, cfg).value
+    if abs(e_h - spec.mu_y) > MOMENT_TOL:
+        raise MomentMismatch(
+            f"E[h(Y)] = {e_h!r} but mu_Y = {spec.mu_y!r}; the identity assumes equality"
+        )
+
+
 def g_from_joint(spec: JointDensitySpec, h: ScalarFn, r: float, u: float,
                  cfg: QuadConfig = DEFAULT_CONFIG, form: str = "upper") -> float:
     """The identity kernel ``g(r, u)`` by direct quadrature.
@@ -263,11 +251,7 @@ def g_from_joint(spec: JointDensitySpec, h: ScalarFn, r: float, u: float,
     a, b = spec.support
     if not a <= r <= b:
         raise DomainError(f"r={r!r} outside the support")
-    e_h = integrate_1d(lambda y: float(h(y)) * float(spec.f_y(y)), a, b, cfg).value
-    if abs(e_h - spec.mu_y) > MOMENT_TOL:
-        raise MomentMismatch(
-            f"E[h(Y)] = {e_h!r} but mu_Y = {spec.mu_y!r}; the identity assumes equality"
-        )
+    _check_mean_h(spec, h, cfg)
     dens = float(spec.f_xy(r, u))
     if dens <= 1e-300:
         raise DensityUnderflow(f"joint density underflows at ({r!r}, {u!r})")
@@ -297,20 +281,15 @@ def verify_stein(spec: JointDensitySpec, c: ScalarFn, c_prime: ScalarFn,
     ``integral c'(r) (h(u) - mu_Y) [integral_r^b f(t, u) dt] dr du`` so the
     kernel ``g`` never needs to be formed pointwise.
     """
-    a, b = spec.support
-    e_h = integrate_1d(lambda y: float(h(y)) * float(spec.f_y(y)), a, b, cfg).value
-    if abs(e_h - spec.mu_y) > MOMENT_TOL:
-        raise MomentMismatch(
-            f"E[h(Y)] = {e_h!r} but mu_Y = {spec.mu_y!r}; the identity assumes equality"
-        )
+    _check_mean_h(spec, h, cfg)
 
     def sides_on(grid: _Grid) -> np.ndarray:
-        c_vals = _call1(c, grid.xs)
-        h_vals = _call1(h, grid.xs)
+        c_vals = _on_arrays(c, grid.xs)
+        h_vals = _on_arrays(h, grid.xs)
         e_c = grid.expect(c_vals[:, None] * np.ones_like(grid.joint))
         e_hy = grid.expect(np.ones_like(grid.joint) * h_vals[None, :])
         lhs = grid.expect(c_vals[:, None] * h_vals[None, :]) - e_c * e_hy
-        cp_vals = _call1(c_prime, grid.xs)
+        cp_vals = _on_arrays(c_prime, grid.xs)
         _check_boundary(grid, h_vals, spec.mu_y)
         kernel = cp_vals[:, None] * (h_vals[None, :] - spec.mu_y) * grid.upper_tail
         return np.array([lhs, grid.integral2(kernel)])
@@ -326,8 +305,8 @@ def _ratio_and_derivative(spec: JointDensitySpec):
 
     def ratio(t):
         t = np.asarray(t, dtype=float)
-        fx = np.asarray(_call1(spec.f_x, t), dtype=float)
-        fy = np.asarray(_call1(spec.f_y, t), dtype=float)
+        fx = np.asarray(_on_arrays(spec.f_x, t), dtype=float)
+        fy = np.asarray(_on_arrays(spec.f_y, t), dtype=float)
         if np.any(fx <= 1e-300):
             raise DensityUnderflow("f_X vanishes inside the support")
         return np.sqrt(np.maximum(fy, 0.0) / fx)
@@ -364,7 +343,7 @@ def verify_distance_covariance(spec: JointDensitySpec,
 
     def pieces_on(grid: _Grid) -> np.ndarray:
         xs = grid.xs
-        h_vals = _call1(h, xs)
+        h_vals = _on_arrays(h, xs)
         r_vals = ratio(xs)
         c_vals = xs - r_vals
         cp_vals = 1.0 - ratio_prime(xs)
@@ -408,8 +387,8 @@ def price_asset(spec: JointDensitySpec, c: ScalarFn, c_prime: ScalarFn,
 
     def routes_on(grid: _Grid) -> np.ndarray:
         xs = grid.xs
-        c_vals = _call1(c, xs)
-        cp_vals = _call1(c_prime, xs)
+        c_vals = _on_arrays(c, xs)
+        cp_vals = _on_arrays(c_prime, xs)
         ones = np.ones_like(grid.joint)
         e_c = grid.expect(c_vals[:, None] * ones)
         e_x = grid.expect(ones * xs[None, :])

@@ -65,6 +65,18 @@ class TestDistance:
     def test_missing_file(self, capsys):
         assert main(["distance", "/nonexistent.json", "/nonexistent.json"]) == 1
 
+    def test_identical_discrete_prints_positive_zero(self, tmp_path, capsys):
+        p = write(tmp_path / "p.json", to_json(DiscreteDist([0.25, 0.75])))
+        assert main(["distance", p, p]) == 0
+        out = capsys.readouterr().out
+        assert '"distance": 0.0' in out and "-0.0" not in out
+
+    @pytest.mark.parametrize("text", ['{"type": "GaussianUni", "mu": 0}', "[1, 2]"])
+    def test_malformed_json_exits_one(self, tmp_path, capsys, text):
+        a = write(tmp_path / "bad.json", text)
+        assert main(["distance", a, a]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestJl:
     def test_min_dim(self, capsys):
@@ -86,6 +98,12 @@ class TestJl:
         rep = json.loads((tmp_path / "rep.json").read_text())
         assert rep["pairs"] == 30 * 29 // 2
         assert 0.0 <= rep["fraction_within"] <= 1.0
+
+    def test_project_ragged_csv_exits_one(self, tmp_path, capsys):
+        src = write(tmp_path / "bad.csv", "a,b\n1,2\n3\n")
+        assert main(["jl", "project", "--input", src, "--k", "1", "--seed", "1",
+                     "--output", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {src}: row 3 ")
 
     def test_project_byte_identical_reruns(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -179,6 +197,29 @@ class TestCompare:
         out = json.loads(capsys.readouterr().out)
         assert len(out["iterations"]) == 3
         assert out["config"]["k"] == 2
+
+    @pytest.mark.parametrize("config", [
+        [1],
+        {"method": "jl", "k": 2, "iterations": "3"},
+        {"method": "jl", "k": 2, "fit": "truncated", "bounds": [1]},
+    ], ids=["list", "string-iterations", "one-bound"])
+    def test_malformed_config_exits_one(self, group_csvs, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["compare", *group_csvs, "--config", str(cfg), "--seed", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("bounds", ["1,x", "1,2,3", "nope"])
+    def test_bad_bounds_flag_exits_one(self, group_csvs, capsys, bounds):
+        assert main(["compare", *group_csvs, "--method", "jl", "--k", "2",
+                     "--fit", "truncated", "--bounds", bounds, "--seed", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_zero_flag_overrides_config(self, group_csvs, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "jl", "k": 2, "shrinkage": 0.05, "seed": 1}))
+        assert main(["compare", *group_csvs, "--config", str(cfg), "--shrinkage", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["shrinkage"] == 0.0
 
     def test_pca_path(self, group_csvs, capsys):
         assert main(["compare", *group_csvs, "--method", "pca",

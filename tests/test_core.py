@@ -17,6 +17,7 @@ from distsim import (
     GaussianUni,
     InvalidDistribution,
     OverlapParams,
+    ParseError,
     QuadResult,
     SampleMatrix,
     TruncGaussianMulti,
@@ -107,6 +108,23 @@ class TestSampleMatrix:
         assert np.array_equal(back.values, values)
 
 
+    def test_csv_header_labels_stripped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(" a , b\n1,2\n")
+        assert SampleMatrix.from_csv(path).labels == ("a", "b")
+
+    @pytest.mark.parametrize("rows, where", [
+        ("1,2\nNA,4\n", "row 3, column 'a'"),
+        ("1,2\n3\n", "row 3 .*column 2 "),
+        ("1,2\n3,x\n", "row 3, column 'b'"),
+    ], ids=["na-cell", "ragged-row", "non-numeric"])
+    def test_csv_refusals_name_row_and_column(self, tmp_path, rows, where):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\n" + rows)
+        with pytest.raises(ParseError, match=where):
+            SampleMatrix.from_csv(path)
+
+
 class TestDistanceMatrix:
     def test_diagonal_must_vanish(self):
         with pytest.raises(InvalidDistribution):
@@ -157,11 +175,55 @@ class TestSerialization:
         with pytest.raises(InvalidDistribution):
             from_json('{"type": "Mystery"}')
 
+    def test_golden_strings(self):
+        # pins key order, list nesting and the infinity encoding
+        cases = [
+            (DiscreteDist([0.25, 0.75], ("lo", "hi")),
+             '{"type": "DiscreteDist", "probs": [0.25, 0.75], "labels": ["lo", "hi"]}'),
+            (DiscreteDist([1.0]), '{"type": "DiscreteDist", "probs": [1.0]}'),
+            (GaussianUni(-1.5, 0.1), '{"type": "GaussianUni", "mu": -1.5, "sigma2": 0.1}'),
+            (GaussianMulti([0.5, -2.0], [[2.0, 0.3], [0.3, 1.0]]),
+             '{"type": "GaussianMulti", "mu": [0.5, -2.0], "cov": [[2.0, 0.3], [0.3, 1.0]]}'),
+            (TruncGaussianUni(0.0, 4.0, -math.inf, 1.5),
+             '{"type": "TruncGaussianUni", "mu": 0.0, "sigma2": 4.0, "lower": "-inf", '
+             '"upper": 1.5}'),
+            (TruncGaussianMulti([0.0, 1.0], [[1.0, 0.0], [0.0, 2.0]],
+                                [-math.inf, 0.5], [2.0, math.inf]),
+             '{"type": "TruncGaussianMulti", "mu": [0.0, 1.0], "cov": [[1.0, 0.0], '
+             '[0.0, 2.0]], "lower": ["-inf", 0.5], "upper": [2.0, "+inf"]}'),
+        ]
+        for dist, text in cases:
+            assert to_json(dist) == text
+            assert to_json(from_json(text)) == text
+
+    @pytest.mark.parametrize("text", [
+        '{"type": "GaussianUni", "mu": 0}',
+        '[{"type": "GaussianUni", "mu": 0, "sigma2": 1}]',
+        '{"type": "DiscreteDist", "probs": "ab"}',
+        '{"type": "GaussianUni", "mu": "0.5", "sigma2": 1}',
+        '{"type": "GaussianUni", "mu": true, "sigma2": 1}',
+        '{"type": "GaussianUni", "mu": 0, "sigma2": [1]}',
+        '{"type": "GaussianMulti", "mu": [0, 0], "cov": [[1, 0], [0]]}',
+        '{"type": "DiscreteDist", "probs": [0.5, 0.5], "labels": [1, 2]}',
+        '{"type": ["GaussianUni"]}',
+        '{"type": "GaussianUni", "mu": 0,',
+    ], ids=["missing-field", "array", "string-probs", "string-number", "bool",
+            "list-for-scalar", "ragged-cov", "numeric-labels", "list-type", "truncated"])
+    def test_malformed_documents_refused(self, text):
+        with pytest.raises(InvalidDistribution):
+            from_json(text)
+
 
 class TestValidateAndMisc:
     def test_validate_ok_for_constructed(self):
         assert validate(GaussianUni(0.0, 1.0)) is None
         assert validate(SampleMatrix(np.ones((2, 2)))) is None
+
+    def test_validate_reports_unsupported_types(self):
+        m = DistanceMatrix(("a", "b"), np.zeros((2, 2)))
+        assert validate(m) == "unsupported type DistanceMatrix"
+        assert validate(3.0) == "unsupported type float"
+        assert validate(GaussianUni) == "unsupported type type"
 
     def test_overlap_params_guard(self):
         with pytest.raises(InvalidDistribution):

@@ -257,6 +257,11 @@ class TestDivergenceValue:
         v = DivergenceValue.from_distance(800.0)
         assert v.coefficient > 0.0 and math.isfinite(v.distance)
 
+    def test_zero_distance_is_positive_zero(self):
+        values = (DivergenceValue.from_coefficient(1.0), DivergenceValue.from_distance(-0.0),
+                  bc_coefficient_discrete(dd(0.25, 0.75), dd(0.25, 0.75)))
+        assert [math.copysign(1.0, v.distance) for v in values] == [1.0, 1.0, 1.0]
+
     def test_from_coefficient_overshoot_clamped(self):
         v = DivergenceValue.from_coefficient(1.0 + 1e-9)
         assert v.coefficient == 1.0 and v.distance == 0.0

@@ -335,6 +335,15 @@ class TestCompareGroupsPca:
         assert any("projected" in note for note in res.notes)
         assert np.all(np.isfinite(res.matrices[0].values))
 
+    @pytest.mark.parametrize("method", ["jl", "pca"])
+    def test_identical_groups_discrete_distance_is_positive_zero(self, method):
+        data = SampleMatrix(np.random.default_rng(0).standard_normal((60, 4)))
+        groups = [GroupDataset("A", data), GroupDataset("B", data)]
+        cfg = RunConfig(method=method, k=3, sig_digits=2, fit="discrete", seed=1)
+        res = compare_groups(groups, cfg)
+        assert all(math.copysign(1.0, x) == 1.0 for x in res.matrices[0].values.ravel())
+        assert all(math.copysign(1.0, s["min"]) == 1.0 for s in res.pair_summary.values())
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             RunConfig(method="nope")
@@ -349,6 +358,20 @@ class TestCompareGroupsPca:
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
         with pytest.raises(DomainError):
             RunConfig.from_dict({"method": "pca", "mystery": 1})
+
+    @pytest.mark.parametrize("config", [
+        [],
+        {"method": "pca", "iterations": "3"},
+        {"method": "pca", "seed": None},
+        {"method": "pca", "log_returns": 1},
+        {"method": "pca", "n_nodes": 2.5},
+        {"method": "pca", "bounds": [1]},
+        {"method": "pca", "bounds": [0, "1"]},
+        {"method": "pca", "bounds": "full"},
+    ])
+    def test_malformed_config_refused(self, config):
+        with pytest.raises(DomainError):
+            RunConfig.from_dict(config)
 
 
 def mixed_width_groups(seed, widths=(6, 3, 5), t=60):
