@@ -12,6 +12,9 @@ Two families live here:
              integral exp(-y - k u^2 / (2 e^(2y)) - (y - mu_Y)^2 / (2 sigma_Y^2)) dy
 
   which degenerates to the plain ``N(0, 1/k)`` density at ``sigma_Y = 0``.
+  :func:`nln_density` takes a scalar or an array ``u`` and evaluates every
+  point in one vector-valued adaptive integral, so a grid costs one
+  integral per component.
 
 * Discrete approximations that match the first ``2N - 1`` raw moments of a
   target density with ``N`` node/weight pairs, built by turning the moment
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import wrightomega
 
 from .core import DiscreteDist, _freeze
 from .errors import (
@@ -37,7 +41,7 @@ from .errors import (
     MomentMatrixNotPD,
     NonConvergence,
 )
-from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate_1d
+from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate_1d, integrate_1d_vec
 
 __all__ = [
     "NLNComponent",
@@ -122,40 +126,58 @@ def _gaussian_pdf(u: np.ndarray, variance: float) -> np.ndarray:
     return np.exp(-0.5 * u * u / variance) / math.sqrt(2.0 * math.pi * variance)
 
 
-def nln_density(u: float, comp: NLNComponent,
-                cfg: QuadConfig = DEFAULT_CONFIG) -> float:
-    """Density of ``X exp(Y)`` at ``u``; symmetric in ``u``.
+def nln_density(u, comp: NLNComponent, cfg: QuadConfig = DEFAULT_CONFIG):
+    """Density of ``X exp(Y)`` at ``u``, a scalar or an array; even in ``u``.
 
-    The mixing integral runs over ``mu_y +- 10 sigma_y`` (tail mass below
-    8e-24). At ``sigma_y = 0`` the exact ``N(0, 1/k)`` density is returned.
+    Returns a float for a scalar ``u`` and an array of ``u``'s shape
+    otherwise. At ``sigma_y = 0`` the exact ``N(0, 1/k)`` density is
+    returned. Otherwise the mixing integral runs over ``mu_y +- 10 sigma_y``
+    (tail mass below 8e-24), for every entry of ``u`` at once, as one
+    :func:`~distsim.quadrature.integrate_1d_vec` call. Each entry's
+    integrand is divided by its peak, so every entry is held to the same
+    relative tolerance, deep tails included. NaN raises
+    :class:`DomainError`; ``+-inf`` gives 0.
     """
+    arr = np.asarray(u, dtype=float)
+    if np.isnan(arr).any():
+        raise DomainError("u must not be NaN")
     if comp.sigma_y == 0.0:
-        return float(_gaussian_pdf(np.asarray(float(u)), 1.0 / comp.k))
+        out = _gaussian_pdf(arr, 1.0 / comp.k)
+    else:
+        # |u| = inf becomes the largest float, where the density underflows to 0
+        mags = np.minimum(np.abs(arr), np.finfo(float).max).ravel()
+        out = _mixture_integral(mags, comp, cfg).reshape(arr.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _mixture_integral(mags: np.ndarray, comp: NLNComponent,
+                      cfg: QuadConfig) -> np.ndarray:
+    """:func:`nln_density` at finite ``mags >= 0`` for ``sigma_y > 0``.
+
+    With ``y = mu_y + sigma_y x`` the exponent of the mixing integrand is
+    ``phi = -y - exp(lw - 2 sigma_y x) - x^2 / 2``, where
+    ``lw = ln(k u^2 / 2) - 2 mu_y``. It is concave, and its peak lies where
+    ``z = k u^2 e^(-2y)`` equals ``1 + (y - mu_y) / sigma_y^2``: there
+    ``2 sigma_y^2 z`` is the Wright omega function of
+    ``lw + ln(4 sigma_y^2) + 2 sigma_y^2``. Each entry is integrated as
+    ``exp(phi - phi_peak)``, whose peak is 1.
+    """
     k, mu, sig = comp.k, comp.mu_y, comp.sigma_y
-    u2 = float(u) * float(u)
+    s2 = sig * sig
+    # ln(0) = -inf at u = 0, and exp(lw - 2 sigma_y x) = inf far in the tail,
+    # both make the integrand 0 where it underflows anyway
+    with np.errstate(divide="ignore", over="ignore"):
+        lw = 2.0 * np.log(mags) + (math.log(0.5 * k) - 2.0 * mu)
+        d = wrightomega(lw + (math.log(4.0 * s2) + 2.0 * s2)) / (2.0 * s2) - 1.0
+        rise = 0.5 + d * ((s2 + 0.5) + (0.5 * s2) * d)  # -mu_y - phi_peak
 
-    def integrand(y: float) -> float:
-        expo = -y - k * u2 / (2.0 * math.exp(2.0 * y)) - (y - mu) ** 2 / (2.0 * sig * sig)
-        return math.exp(expo)
+        def scaled(x: np.ndarray) -> np.ndarray:
+            x = x[:, None]
+            return np.exp((x * (-sig - 0.5 * x) + rise) - np.exp(lw - (2.0 * sig) * x))
 
-    lo = mu - _MIX_RANGE_SIGMAS * sig
-    hi = mu + _MIX_RANGE_SIGMAS * sig
-    integral = integrate_1d(integrand, lo, hi, cfg).value
-    return math.sqrt(k) / (2.0 * math.pi * sig) * integral
-
-
-def _component_on_grid(xs: np.ndarray, comp: NLNComponent,
-                       cfg: QuadConfig) -> np.ndarray:
-    if comp.sigma_y == 0.0:
-        return _gaussian_pdf(xs, 1.0 / comp.k)
-    half = xs[xs >= 0.0]
-    vals = np.fromiter((nln_density(x, comp, cfg) for x in half),
-                       dtype=float, count=half.size)
-    out = np.empty_like(xs)
-    out[xs >= 0.0] = vals
-    neg = xs < 0.0
-    out[neg] = np.interp(-xs[neg], half, vals)
-    return out
+        integral = integrate_1d_vec(scaled, -_MIX_RANGE_SIGMAS, _MIX_RANGE_SIGMAS,
+                                    mags.size, cfg).value
+    return (math.sqrt(k) / (2.0 * math.pi)) * np.exp(-mu - rise) * integral
 
 
 def nln_sum_density(comps: list[NLNComponent],
@@ -176,11 +198,14 @@ def nln_sum_density(comps: list[NLNComponent],
     combined_sd = math.sqrt(sum(c.variance for c in comps))
     center = n_points // 2
     h = 2.0 * span_sigmas * combined_sd / (n_points - 1)
-    xs = (np.arange(n_points) - center) * h
+    offsets = np.arange(n_points) - center
+    xs = offsets * h
+    # each density is even: take it once per |x| and index it back onto the grid
+    mags, at = np.arange(center + 1) * h, np.abs(offsets)
 
-    dens = _component_on_grid(xs, comps[0], cfg)
+    dens = nln_density(mags, comps[0], cfg)[at]
     for comp in comps[1:]:
-        nxt = _component_on_grid(xs, comp, cfg)
+        nxt = nln_density(mags, comp, cfg)[at]
         dens = np.convolve(dens, nxt)[center:center + n_points] * h
     return GridDensity(xs, np.maximum(dens, 0.0))
 
@@ -226,8 +251,10 @@ def _jacobi_from_moments(moms: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     """Recurrence coefficients (alpha, sqrt(beta)) via partial Hankel Cholesky.
 
     Uses exactly ``m_0 .. m_{2n-1}``; the (n, n) Hankel entry is never
-    touched. A nonpositive pivot means the sequence is not a valid moment
-    sequence of a distribution with ``n`` or more support points.
+    touched. A pivot at or below 1e-14 of its own Hankel diagonal entry
+    means the sequence is not a valid moment sequence of a distribution with
+    ``n`` or more support points; scaling each pivot by its own order keeps
+    raw moments of large values (``m_7`` near 1e14) from masking order 0.
     """
     size = n + 1
     hank = np.zeros((size, size))
@@ -235,7 +262,6 @@ def _jacobi_from_moments(moms: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
         for j in range(size):
             if i + j < 2 * n:
                 hank[i, j] = moms[i + j]
-    scale = max(abs(moms).max(), 1.0)
     chol = np.zeros((size, size))
     for j in range(size):
         for i in range(j + 1):
@@ -243,7 +269,7 @@ def _jacobi_from_moments(moms: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
                 continue
             s = hank[i, j] - chol[:i, i] @ chol[:i, j]
             if i == j:
-                if s <= scale * 1e-14:
+                if s <= abs(hank[i, i]) * 1e-14:
                     raise MomentMatrixNotPD(
                         f"moment Hankel matrix is not positive definite at order {i}"
                     )

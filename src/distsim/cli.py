@@ -186,6 +186,9 @@ def _cmd_approx(args) -> int:
             moms = np.array([float(x) for x in args.moments.split(",")])
         else:
             data = SampleMatrix.from_csv(args.input)
+            if args.column and args.column not in data.labels:
+                raise DomainError(f"no column {args.column!r} in {args.input}; "
+                                  f"columns: {', '.join(data.labels)}")
             idx = data.labels.index(args.column) if args.column else 0
             col = data.values[:, idx]
             moms = np.array([float(np.mean(col ** p)) for p in range(2 * args.nodes)])
@@ -278,6 +281,11 @@ def _cmd_verify(args) -> int:
 
 # ------------------------------------------------------------------- parser
 
+_MC_SAMPLES_HELP = ("box-probability samples, split over 12 replicates that each round "
+                    "their share up to a power of two: the default 200000 samples "
+                    "393216 points")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distsim",
@@ -295,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--mc-samples", type=int, default=200_000)
+    p.add_argument("--mc-samples", type=int, default=200_000, help=_MC_SAMPLES_HELP)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_distance)
 
@@ -316,7 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--shrinkage", type=float, default=None)
     p.add_argument("--log-returns", action="store_true", default=None)
-    p.add_argument("--mc-samples", dest="mc_samples", type=int, default=None)
+    p.add_argument("--mc-samples", dest="mc_samples", type=int, default=None,
+                   help=_MC_SAMPLES_HELP)
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_compare)
 

@@ -561,7 +561,10 @@ class DistanceMatrix:
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Numerical integral value with an error estimate and evaluation count."""
+    """Numerical integral value with an error estimate and evaluation count.
+
+    ``value`` is an array for the vector-valued ``integrate_1d_vec``.
+    """
 
     value: float
     error_estimate: float

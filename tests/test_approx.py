@@ -22,12 +22,14 @@ from distsim import (
     nln_sum_density,
 )
 from distsim import approx
+from distsim.approx import DEFAULT_GRID_SPAN
 
 from oracles import (
     GAUSS_HERMITE_2_NODES,
     GAUSS_HERMITE_2_WEIGHTS,
     GAUSS_HERMITE_3_NODES,
     GAUSS_HERMITE_3_WEIGHTS,
+    nln_density_mp,
     normal_pdf,
 )
 
@@ -35,6 +37,20 @@ CFG = QuadConfig(seed=2)
 
 #: raw moments of the standard normal, m_0..m_5
 STD_NORMAL_MOMENTS = np.array([1.0, 0.0, 1.0, 0.0, 3.0, 0.0])
+
+#: 500 raw price levels drawn from N(100, 5^2)
+PRICES = np.random.default_rng(0).normal(100.0, 5.0, 500)
+
+#: components like the benchmark's (k 2-6, |mu_y| < 0.1, sigma_y 0.2-0.5) and
+#: both ends of the mixing width
+ORACLE_COMPONENTS = [NLNComponent(6, -0.08, 0.37), NLNComponent(4, -0.05, 0.32),
+                     NLNComponent(5, 0.07, 0.49), NLNComponent(1, 0.0, 1e-3),
+                     NLNComponent(3, -0.5, 2.0)]
+
+
+def half_grid(comp, points=2049):
+    """``|x|`` of a default-span grid: 0 to 12 standard deviations."""
+    return np.linspace(0.0, DEFAULT_GRID_SPAN * math.sqrt(comp.variance), points)
 
 
 class TestNlnDensity:
@@ -50,9 +66,56 @@ class TestNlnDensity:
             )
 
     def test_even_symmetry(self):
-        comp = NLNComponent(2, 0.3, 0.8)
-        for u in (0.1, 0.5, 1.7):
-            assert nln_density(u, comp) == nln_density(-u, comp)
+        for comp in (NLNComponent(2, 0.3, 0.8), *ORACLE_COMPONENTS):
+            for u in (0.1, 0.5, 1.7):
+                assert nln_density(u, comp) == nln_density(-u, comp)
+            xs = half_grid(comp, 64)
+            assert np.array_equal(nln_density(xs, comp), nln_density(-xs, comp))
+
+    @pytest.mark.parametrize("comp", ORACLE_COMPONENTS, ids=repr)
+    def test_array_matches_oracle_to_grid_edge(self, comp):
+        xs = half_grid(comp)
+        got = nln_density(xs, comp)
+        for i in (0, 128, 512, 1024, 2048):
+            want = nln_density_mp(xs[i], comp.k, comp.mu_y, comp.sigma_y)
+            assert got[i] == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("u", [1e4, 1e6, 1e10])
+    def test_deep_tail_at_wide_mixing(self, u):
+        # each integrand is scaled to its peak, so a value of 1e-19 is held to
+        # the relative tolerance like one of 1e-4
+        comp = NLNComponent(2, 0.5, 4.0)
+        want = nln_density_mp(u, comp.k, comp.mu_y, comp.sigma_y)
+        assert nln_density(u, comp) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("comp", ORACLE_COMPONENTS, ids=repr)
+    def test_scalar_and_array_paths_agree(self, comp):
+        xs = half_grid(comp)
+        got = nln_density(xs, comp)
+        for i in (0, 300, 1500, 2048):
+            scalar = nln_density(float(xs[i]), comp)
+            assert isinstance(scalar, float)
+            assert scalar == pytest.approx(got[i], rel=1e-12, abs=0.0)
+
+    def test_array_shape_kept_at_zero_mixing_width(self):
+        comp = NLNComponent(4, 0.7, 0.0)
+        xs = np.linspace(-2, 2, 6).reshape(2, 3)
+        got = nln_density(xs, comp)
+        assert isinstance(got, np.ndarray) and got.shape == (2, 3)
+        assert np.allclose(got, normal_pdf(xs, 0.0, 0.25), rtol=1e-15, atol=0.0)
+        assert isinstance(nln_density(0.5, comp), float)
+
+    def test_infinite_and_nan_arguments(self):
+        comp = NLNComponent(2, 0.1, 0.5)
+        assert np.array_equal(nln_density(np.array([-math.inf, math.inf]), comp), [0.0, 0.0])
+        with pytest.raises(DomainError):
+            nln_density(np.array([0.5, math.nan]), comp)
+
+    @pytest.mark.parametrize("max_evals", [21, 24 * 21])
+    def test_small_budget_raises(self, max_evals):
+        # the least budget, and one that allows only the first pass
+        with pytest.raises(NonConvergence):
+            nln_density(100.0, NLNComponent(1, 0.0, 2.0), QuadConfig(max_evals=max_evals))
 
     def test_matches_simulation_histogram(self):
         comp = NLNComponent(1, 0.0, 1.0)
@@ -126,6 +189,19 @@ class TestNlnSumDensity:
             dens = float(np.interp(u, grid.x, grid.values))
             assert abs(dens - dens_hat) <= 3 * se + 2e-3
 
+    def test_one_density_call_per_component(self, monkeypatch):
+        calls = []
+
+        def counted(u, comp, cfg=approx.DEFAULT_CONFIG):
+            calls.append(np.shape(u))
+            return nln_density(u, comp, cfg)
+
+        monkeypatch.setattr(approx, "nln_density", counted)
+        comps = [NLNComponent(3, 0.0, 0.25), NLNComponent(3, 0.2, 0.5),
+                 NLNComponent(3, 0.0, 0.0)]
+        nln_sum_density(comps, n_points=1024)
+        assert calls == [(513,)] * 3
+
     def test_too_coarse_grid_rejected(self):
         comp = NLNComponent(1, 0.0, 0.0)
         with pytest.raises(GridTooCoarse):
@@ -183,6 +259,19 @@ class TestMomentMatch:
         # m_2 < m_1^2 is impossible for any distribution
         with pytest.raises(MomentMatrixNotPD):
             moment_match(np.array([1.0, 1.0, 0.5, 0.0, 1.0, 0.0]), 3)
+        # also at price scale, where the higher moments reach 1e14
+        moms = np.array([float(np.mean(PRICES ** j)) for j in range(8)])
+        moms[2] = 0.999 * moms[1] ** 2
+        with pytest.raises(MomentMatrixNotPD, match="order 1"):
+            moment_match(moms, 4)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_raw_price_levels(self, n):
+        moms = np.array([float(np.mean(PRICES ** j)) for j in range(2 * n)])
+        approx = moment_match(moms, n)
+        for j in range(2 * n):
+            assert approx.moment(j) == pytest.approx(moms[j], rel=1e-8)
+        assert 80.0 < approx.nodes[0] < approx.nodes[-1] < 115.0
 
     def test_unmatched_nodes_raise(self, monkeypatch):
         def perturbed(alpha, off):

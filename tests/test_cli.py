@@ -129,6 +129,23 @@ class TestApprox:
         assert main(["approx", "moment-match", "--moments", "1,1,0.5,0,1,0",
                      "--nodes", "3"]) == 1
 
+    def test_unknown_column_named(self, tmp_path, capsys):
+        src = write(tmp_path / "group.csv", "a,b\n1,2\n3,4\n5,7\n")
+        assert main(["approx", "moment-match", "--input", src, "--column", "zz",
+                     "--nodes", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "'zz'" in err and src in err and "a, b" in err
+
+    def test_raw_price_column(self, tmp_path, capsys):
+        prices = np.random.default_rng(0).normal(100.0, 5.0, 500)
+        src = tmp_path / "prices.csv"
+        SampleMatrix(prices[:, None], ("close",)).to_csv(src)
+        assert main(["approx", "moment-match", "--input", str(src), "--column", "close",
+                     "--nodes", "5"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert 80.0 < out["nodes"][0] < out["nodes"][-1] < 115.0
+
     def test_nln_density_dump(self, tmp_path):
         out = tmp_path / "grid.csv"
         assert main(["approx", "nln-density", "--k", "1,1", "--mu-y", "0,0",

@@ -16,7 +16,7 @@ from distsim import (
     std_normal_cdf,
 )
 
-from distsim.quadrature import log_gauss_mass
+from distsim.quadrature import integrate_1d_vec, log_gauss_mass
 
 from oracles import cdf_series, log_gauss_mass_mp, orthant_bivariate
 
@@ -72,6 +72,55 @@ class TestIntegrate1d:
         starved = QuadConfig(abs_tol=1e-13, rel_tol=1e-13, max_evals=42)
         with pytest.raises(NonConvergence):
             integrate_1d(lambda x: abs(math.sin(50 / (x + 0.01))), 0, 1, starved)
+
+
+class TestIntegrate1dVec:
+    def test_polynomials_exact_in_one_pass(self):
+        powers = np.arange(32)
+        r = integrate_1d_vec(lambda x: x[:, None] ** powers, -1.0, 2.0, powers.size, CFG)
+        want = (2.0 ** (powers + 1) - (-1.0) ** (powers + 1)) / (powers + 1)
+        assert np.allclose(r.value, want, rtol=1e-13, atol=0.0)
+        assert r.evaluations == 24 * 21
+
+    def test_narrow_peaks_refined_to_tolerance(self):
+        centers = np.array([-3.0, 0.5, 4.0])
+
+        def peaks(x):
+            return np.exp(-0.5 * ((x[:, None] - centers) / 0.01) ** 2)
+
+        r = integrate_1d_vec(peaks, -5.0, 5.0, centers.size, CFG)
+        assert np.allclose(r.value, 0.01 * math.sqrt(2 * math.pi), rtol=1e-12, atol=0.0)
+        assert r.error_estimate <= max(CFG.abs_tol, CFG.rel_tol * r.value.max())
+        assert r.evaluations > 24 * 21
+
+    def test_calls_stay_within_chunk(self):
+        scales = np.linspace(0.5, 2.0, 1000)  # three panels a call
+        shapes = []
+
+        def gaussians(x):
+            shapes.append(x.size * scales.size)
+            return np.exp(-scales * x[:, None] ** 2)
+
+        r = integrate_1d_vec(gaussians, -12.0, 12.0, scales.size, CFG)
+        assert max(shapes) == 3 * 21 * scales.size
+        assert np.allclose(r.value, np.sqrt(np.pi / scales), rtol=1e-13, atol=0.0)
+
+    def test_budget_exhausted_raises(self):
+        def wiggle(x):
+            return np.abs(np.sin(50 / (x[:, None] + 0.01)))
+
+        for budget in (21, 2000):
+            with pytest.raises(NonConvergence):
+                integrate_1d_vec(wiggle, 0.0, 1.0, 1, QuadConfig(max_evals=budget))
+
+    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_bad_interval(self, a, b):
+        with pytest.raises(DomainError):
+            integrate_1d_vec(lambda x: x[:, None], a, b, 1, CFG)
+
+    def test_no_entries(self):
+        r = integrate_1d_vec(lambda x: np.empty((x.size, 0)), 0.0, 1.0, 0, CFG)
+        assert r.value.shape == (0,) and r.error_estimate == 0.0
 
 
 class TestLogGaussMass:
