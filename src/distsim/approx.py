@@ -41,7 +41,7 @@ from .errors import (
     MomentMatrixNotPD,
     NonConvergence,
 )
-from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate_1d, integrate_1d_vec
+from .quadrature import DEFAULT_CONFIG, QuadConfig, _on_arrays, integrate_1d
 
 __all__ = [
     "NLNComponent",
@@ -52,7 +52,7 @@ __all__ = [
     "moment_match",
 ]
 
-#: integration range for the mixing variable, in its own standard deviations.
+#: integration range for the mixing variable about its peak, in its own sd.
 _MIX_RANGE_SIGMAS = 10.0
 #: default grid resolution and half-span (in combined standard deviations).
 DEFAULT_GRID_POINTS = 4096
@@ -131,11 +131,11 @@ def nln_density(u, comp: NLNComponent, cfg: QuadConfig = DEFAULT_CONFIG):
 
     Returns a float for a scalar ``u`` and an array of ``u``'s shape
     otherwise. At ``sigma_y = 0`` the exact ``N(0, 1/k)`` density is
-    returned. Otherwise the mixing integral runs over ``mu_y +- 10 sigma_y``
-    (tail mass below 8e-24), for every entry of ``u`` at once, as one
-    :func:`~distsim.quadrature.integrate_1d_vec` call. Each entry's
-    integrand is divided by its peak, so every entry is held to the same
-    relative tolerance, deep tails included. NaN raises
+    returned. Otherwise the mixing integral runs over ``+-10 sigma_y`` about
+    each entry's own peak (tail mass below 8e-24), for every entry of ``u``
+    at once, as one :func:`~distsim.quadrature.integrate_1d` call. Each
+    entry's integrand is divided by its peak, so every entry is held to the
+    same relative tolerance, deep tails included. NaN raises
     :class:`DomainError`; ``+-inf`` gives 0.
     """
     arr = np.asarray(u, dtype=float)
@@ -156,27 +156,28 @@ def _mixture_integral(mags: np.ndarray, comp: NLNComponent,
 
     With ``y = mu_y + sigma_y x`` the exponent of the mixing integrand is
     ``phi = -y - exp(lw - 2 sigma_y x) - x^2 / 2``, where
-    ``lw = ln(k u^2 / 2) - 2 mu_y``. It is concave, and its peak lies where
-    ``z = k u^2 e^(-2y)`` equals ``1 + (y - mu_y) / sigma_y^2``: there
-    ``2 sigma_y^2 z`` is the Wright omega function of
-    ``lw + ln(4 sigma_y^2) + 2 sigma_y^2``. Each entry is integrated as
-    ``exp(phi - phi_peak)``, whose peak is 1.
+    ``lw = ln(k u^2 / 2) - 2 mu_y``. Its peak lies where ``z = k u^2 e^(-2y)``
+    equals ``1 + (y - mu_y) / sigma_y^2``: there ``2 sigma_y^2 z`` is the
+    Wright omega function of ``lw + ln(4 sigma_y^2) + 2 sigma_y^2``, and
+    ``x = sigma_y (z - 1) + v``. Each entry is integrated over ``v`` as
+    ``exp(phi - phi_peak) = exp(-v^2/2 - (z/2) (expm1(-2 sigma_y v) + 2 sigma_y v))``,
+    whose peak is 1 and whose exponent has curvature at least 1.
     """
     k, mu, sig = comp.k, comp.mu_y, comp.sigma_y
     s2 = sig * sig
-    # ln(0) = -inf at u = 0, and exp(lw - 2 sigma_y x) = inf far in the tail,
-    # both make the integrand 0 where it underflows anyway
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore"):  # ln(0) = -inf at u = 0, where omega is 0
         lw = 2.0 * np.log(mags) + (math.log(0.5 * k) - 2.0 * mu)
-        d = wrightomega(lw + (math.log(4.0 * s2) + 2.0 * s2)) / (2.0 * s2) - 1.0
-        rise = 0.5 + d * ((s2 + 0.5) + (0.5 * s2) * d)  # -mu_y - phi_peak
+    omega = wrightomega(lw + (math.log(4.0 * s2) + 2.0 * s2))
+    d = omega / (2.0 * s2) - 1.0  # z - 1
+    rise = 0.5 + d * ((s2 + 0.5) + (0.5 * s2) * d)  # -mu_y - phi_peak
 
-        def scaled(x: np.ndarray) -> np.ndarray:
-            x = x[:, None]
-            return np.exp((x * (-sig - 0.5 * x) + rise) - np.exp(lw - (2.0 * sig) * x))
+    def scaled(v: np.ndarray) -> np.ndarray:
+        v = v[:, None]
+        with np.errstate(over="ignore"):  # past sigma_y = 35; capped, 0 * bend is 0 at u = 0
+            bend = np.minimum(np.expm1(-2.0 * sig * v) + 2.0 * sig * v, np.finfo(float).max)
+            return np.exp(-0.5 * v * v - (omega / (4.0 * s2)) * bend)
 
-        integral = integrate_1d_vec(scaled, -_MIX_RANGE_SIGMAS, _MIX_RANGE_SIGMAS,
-                                    mags.size, cfg).value
+    integral = integrate_1d(scaled, -_MIX_RANGE_SIGMAS, _MIX_RANGE_SIGMAS, cfg).value
     return (math.sqrt(k) / (2.0 * math.pi)) * np.exp(-mu - rise) * integral
 
 
@@ -240,11 +241,10 @@ class DiscreteApprox:
 
 
 def _moments_from_density(f, support, count: int, cfg: QuadConfig) -> np.ndarray:
-    a, b = support
-    moms = np.empty(count)
-    for j in range(count):
-        moms[j] = integrate_1d(lambda x, j=j: (x ** j) * f(x), a, b, cfg).value
-    return moms
+    """Raw moments ``m_0 .. m_{count-1}`` of ``f`` on ``support``, as one integral."""
+    powers = np.arange(count)
+    return integrate_1d(lambda x: x[:, None] ** powers * _on_arrays(f, x)[:, None],
+                        *support, cfg).value
 
 
 def _jacobi_from_moments(moms: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

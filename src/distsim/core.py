@@ -563,7 +563,7 @@ class DistanceMatrix:
 class QuadResult:
     """Numerical integral value with an error estimate and evaluation count.
 
-    ``value`` is an array for the vector-valued ``integrate_1d_vec``.
+    ``value`` is an array for a vector-valued integrand of ``integrate_1d``.
     """
 
     value: float

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import DiscreteDist, ScalarFn
 from .errors import DimensionMismatch, DomainError, EmptySample, NotADensity
-from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate_1d
+from .quadrature import DEFAULT_CONFIG, QuadConfig, _on_arrays, integrate_1d
 
 __all__ = [
     "DivergenceValue",
@@ -172,14 +172,13 @@ def bc_coefficient_continuous(f: ScalarFn, g: ScalarFn, support,
     :class:`NotADensity` is raised. Tiny negative density values (noise in
     user-supplied functions) are treated as zero.
     """
-    a, b = support
-    for name, fn in (("f", f), ("g", g)):
-        mass = integrate_1d(lambda x, fn=fn: max(float(fn(x)), 0.0), a, b, cfg).value
+    def parts(x: np.ndarray) -> np.ndarray:
+        fx = np.maximum(_on_arrays(f, x), 0.0)
+        gx = np.maximum(_on_arrays(g, x), 0.0)
+        return np.stack([fx, gx, np.sqrt(fx * gx)], axis=1)
+
+    mass_f, mass_g, rho = integrate_1d(parts, *support, cfg).value
+    for name, mass in (("f", mass_f), ("g", mass_g)):
         if abs(mass - 1.0) > 1e-6:
             raise NotADensity(f"{name} integrates to {mass!r} over the support, not 1")
-
-    def integrand(x: float) -> float:
-        return math.sqrt(max(float(f(x)), 0.0) * max(float(g(x)), 0.0))
-
-    rho = integrate_1d(integrand, a, b, cfg).value
     return DivergenceValue.from_coefficient(rho)

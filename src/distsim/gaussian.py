@@ -45,7 +45,7 @@ from .core import (
     TruncGaussianUni,
 )
 from .divergence import DivergenceValue
-from .errors import (DimensionMismatch, DomainError, NonConvergence, NoSolution,
+from .errors import (DimensionMismatch, DomainError, NoSolution,
                      NotPositiveDefinite)
 from .quadrature import DEFAULT_CONFIG, QuadConfig, log_gauss_mass, mvn_rect_prob
 
@@ -289,11 +289,6 @@ def truncated_mvn_terms(p: TruncGaussianMulti, q: TruncGaussianMulti,
     prob_q = mvn_rect_prob(q.parent(), q.lower, q.upper, cfg)
     mixture = GaussianMulti(ov.m, 2.0 * ov.S)
     prob_ov = mvn_rect_prob(mixture, ov.l, ov.u, cfg)
-    if min(prob_p.value, prob_q.value, prob_ov.value) <= 0.0:
-        raise NonConvergence(
-            "a truncation-normalization probability underflowed to zero; "
-            "the requested boxes are too far in the tails to resolve"
-        )
     dist = (base
             + 0.5 * (math.log(prob_p.value) + math.log(prob_q.value))
             - math.log(prob_ov.value))

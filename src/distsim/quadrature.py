@@ -1,17 +1,14 @@
 """Numerical integration primitives.
 
-Six entry points, all pure and reproducible:
+Five entry points, all pure and reproducible:
 
 * :func:`std_normal_cdf` -- standard normal CDF, absolute error below 1e-12
   (Cephes ``ndtr`` rational erf approximation, exact at infinities).
 * :func:`log_gauss_mass` -- log standard normal mass of an interval, from
   ``log_ndtr`` in its own tail; every univariate normal mass is taken here.
-* :func:`integrate_1d` -- adaptive Gauss-Kronrod quadrature on finite or
-  infinite intervals (QUADPACK; infinite limits are mapped to a bounded
-  interval by its internal change of variables).
-* :func:`integrate_1d_vec` -- adaptive 21-point Gauss-Kronrod quadrature of
-  a vector-valued integrand on a finite interval, every entry on the same
-  panels, evaluated as arrays a few panels at a time.
+* :func:`integrate_1d` -- adaptive Gauss-Kronrod quadrature (the QUADPACK
+  ``qk21`` rule, Piessens et al. 1983) of a scalar- or vector-valued
+  integrand on a finite or infinite interval, on panels evaluated as arrays.
 * :func:`mvn_rect_prob` -- multivariate normal probability of a box, via the
   separation-of-variables transform (Cholesky factor plus sequential
   conditioning) sampled with scrambled Sobol points; the error estimate is
@@ -38,16 +35,15 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _integrate
 from scipy.special import log_ndtr, ndtr, ndtri
 from scipy.stats import qmc
 from scipy.stats import t as _student_t
 
-from .core import GaussianMulti, ObjectMemo, QuadResult, ScalarFn, ScalarFn2
+from .core import GaussianMulti, ObjectMemo, QuadResult, ScalarFn2
 from .errors import DimensionMismatch, DomainError, NonConvergence, NotPositiveDefinite
 
 __all__ = ["QuadConfig", "std_normal_cdf", "log_gauss_mass", "integrate_1d",
-           "integrate_1d_vec", "mvn_rect_prob", "integrate_2d_mc"]
+           "mvn_rect_prob", "integrate_2d_mc"]
 
 #: replicate count for randomized quasi-Monte Carlo error estimation.
 MC_REPLICATES = 12
@@ -71,12 +67,8 @@ _GK21_HALF_WG = (0.0, 0.06667134430868814, 0.0, 0.1494513491505806, 0.0,
 _GK21_U = 0.5 + 0.5 * np.array([-x for x in _GK21_HALF_X[:-1]] + list(_GK21_HALF_X[::-1]))
 _GK21_WK = np.array(_GK21_HALF_WK + _GK21_HALF_WK[-2::-1])
 _GK21_W = 0.5 * np.array([_GK21_WK, _GK21_WK - (_GK21_HALF_WG + _GK21_HALF_WG[-2::-1])])
-#: left ends of the equal panels of the first pass of :func:`integrate_1d_vec`,
-#: as fractions of the interval; 24 of them resolve the NLN mixing integrands
-#: up to sigma_Y = 1 without a second pass.
-_VEC_START = np.arange(24) / 24
 #: most entries (nodes times outputs) one integrand call evaluates: 512 KB.
-_VEC_CHUNK = 1 << 16
+_CHUNK = 1 << 16
 
 #: box probabilities per distribution object, keyed on (lower, upper, cfg).
 _BOX_MEMO = ObjectMemo()
@@ -86,13 +78,13 @@ _BOX_MEMO = ObjectMemo()
 class QuadConfig:
     """Tolerances and budgets for the integration routines.
 
-    ``max_evals`` bounds the integrand evaluations of :func:`integrate_1d`
-    (as ``max_evals // 21`` subintervals) and the nodes of
-    :func:`integrate_1d_vec`. ``mc_samples`` is the sample count of
-    :func:`integrate_2d_mc`. :func:`mvn_rect_prob` splits it over its
-    :data:`MC_REPLICATES` replicates and rounds each share up to a power of
-    two (at least 64), so it samples up to twice as many points: 12 x 32,768
-    = 393,216 at the default 200,000.
+    ``max_evals`` bounds the nodes (abscissae) :func:`integrate_1d` evaluates
+    over all its passes; 21 nodes make one panel, so 21 is the least budget.
+    ``mc_samples`` is the sample count of :func:`integrate_2d_mc`.
+    :func:`mvn_rect_prob` splits it over its :data:`MC_REPLICATES`
+    replicates and rounds each share up to a power of two (at least 64), so
+    it samples up to twice as many points: 12 x 32,768 = 393,216 at the
+    default 200,000.
     """
 
     abs_tol: float = 1e-9
@@ -138,83 +130,101 @@ def log_gauss_mass(a: float, b: float) -> float:
     return float(lb + math.log(gap)) if gap > 0 else -math.inf
 
 
-def integrate_1d(f: ScalarFn, a: float, b: float,
+def _on_arrays(f: Callable, *args: np.ndarray) -> np.ndarray:
+    """``f`` on whole arrays, or element by element if it takes only scalars.
+
+    An array result must have the arguments' shape, optionally with one more
+    axis after it; otherwise ``f`` is called per element and returns a float.
+    """
+    shape = np.shape(args[0])
+    try:
+        out = np.asarray(f(*args), dtype=float)
+        if out.shape[:len(shape)] == shape and out.ndim <= len(shape) + 1:
+            return out
+    except (TypeError, ValueError):
+        pass
+    return np.vectorize(f, otypes=[float])(*args)
+
+
+def _finite_range(f: Callable, a: float, b: float) -> tuple[Callable, float, float]:
+    """``f`` on ``(a, b)`` as an integrand on a finite interval, and that interval.
+
+    ``x = c + s t / (1 - t^2)`` maps ``(-1, 1)`` onto the whole line and
+    ``(0, 1)`` onto the half-line from the finite limit ``c`` in direction ``s``.
+    """
+    if math.isfinite(a) and math.isfinite(b):
+        return f, a, b
+    c, s, start = ((a, 1.0, 0.0) if math.isfinite(a) else
+                   (b, -1.0, 0.0) if math.isfinite(b) else (0.0, 1.0, -1.0))
+
+    def mapped(t: np.ndarray) -> np.ndarray:
+        r = 1.0 / (1.0 - t * t)
+        vals = _on_arrays(f, c + s * t * r)
+        jac = (1.0 + t * t) * r * r
+        return vals * (jac[:, None] if vals.ndim == 2 else jac)
+
+    return mapped, start, 1.0
+
+
+def integrate_1d(f: Callable, a: float, b: float,
                  cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
     """Adaptive quadrature of ``f`` on ``(a, b)``; either limit may be infinite.
 
-    Raises :class:`NonConvergence` when the subdivision budget implied by
-    ``cfg.max_evals`` is exhausted while the reported error still exceeds
-    ``cfg.abs_tol``.
+    ``f`` maps an ``(m,)`` array of abscissae to ``(m,)``, for a float
+    ``value``, or to ``(m, n)``, for an ``(n,)`` one; a callable that takes
+    only scalars is called point by point. Every entry shares the panels: a
+    panel's value is its 21-point Gauss-Kronrod sum and its error the gap to
+    the embedded 10-point Gauss sum. The first pass takes ``min(24,
+    max_evals // 21)`` equal panels. Each pass retires the panels within
+    their share (by width) of ``max(abs_tol, rel_tol * |integral|)`` in every
+    entry and bisects the rest, until the summed errors meet that tolerance
+    or no panel is left. ``f`` gets one panel first, which shows ``n``, then
+    as many as fit in 65,536 entries (512 KB), and at least one.
+
+    Returns ``error_estimate`` as the largest summed error and
+    ``evaluations`` as the count of nodes. Raises :class:`NonConvergence`
+    when the next pass would take more than ``cfg.max_evals`` nodes.
     """
     if not a < b:
         raise DomainError(f"need a < b, got ({a!r}, {b!r})")
-    limit = max(1, int(cfg.max_evals) // 21)
-    out = _integrate.quad(f, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-                          limit=limit, full_output=True)
-    value, abserr, info = out[0], out[1], out[2]
-    if len(out) > 3 and abserr > cfg.abs_tol:
-        raise NonConvergence(
-            f"1-D quadrature stalled at error {abserr:.3e} > {cfg.abs_tol:.3e}: {out[3]}"
-        )
-    return QuadResult(float(value), float(abserr), int(info["neval"]))
-
-
-def integrate_1d_vec(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                     size: int, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
-    """Adaptive quadrature of a vector-valued ``f`` on the finite ``(a, b)``.
-
-    ``f`` maps an ``(m,)`` array of abscissae to an ``(m, size)`` array, and
-    every entry is integrated on the same panels. A panel's value is its
-    21-point Gauss-Kronrod sum; its error is the gap to the embedded 10-point
-    Gauss sum. The first pass takes equal panels. The integral is done once
-    the summed panel errors are within ``max(abs_tol, rel_tol * |integral|)``
-    in every entry. Until then, each pass retires the panels whose error is
-    within their share (by width) of that tolerance in every entry and
-    bisects the rest; when none is left to bisect, the integral is done too.
-    Each call of ``f`` takes as many whole panels as fit in 65,536 entries
-    (512 KB), and at least one.
-
-    Returns ``value`` as a ``(size,)`` array, ``error_estimate`` as the
-    largest entry of the summed panel errors and ``evaluations`` as the count
-    of nodes. Raises :class:`NonConvergence` when the next pass would take
-    more than ``cfg.max_evals`` nodes (the first takes 504).
-    """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"need finite a < b, got ({a!r}, {b!r})")
+    f, a, b = _finite_range(f, a, b)
     nodes = _GK21_U.size
-    per_call = max(1, _VEC_CHUNK // (nodes * max(size, 1)))
-    lo = a + (b - a) * _VEC_START
-    width = np.full_like(lo, (b - a) / lo.size)
-    total = error = np.zeros(size)
-    evals = 0
+    first = min(24, int(cfg.max_evals) // nodes)  # 24 settle NLN in one pass
+    lo = a + (b - a) * (np.arange(first) / first)
+    width = np.full_like(lo, (b - a) / first)
+    total = error = 0.0
+    evals, per_call = 0, 1
     while True:
         evals += nodes * lo.size
         if evals > cfg.max_evals:
-            raise NonConvergence(
-                f"vector quadrature needs more than {cfg.max_evals} nodes: "
-                f"{lo.size} panels are above tolerance"
-            )
-        x = lo[:, None] + width[:, None] * _GK21_U
-        sums = np.empty((lo.size, 2, size))
-        for s in range(0, lo.size, per_call):
+            raise NonConvergence(f"1-D quadrature needs more than {cfg.max_evals} nodes: "
+                                 f"{lo.size} panels are above tolerance")
+        x, parts, s = lo[:, None] + width[:, None] * _GK21_U, [], 0
+        while s < lo.size:
             rows = x[s:s + per_call]
-            vals = np.asarray(f(rows.ravel()), dtype=float).reshape(*rows.shape, size)
-            np.matmul(_GK21_W, vals, out=sums[s:s + per_call])
-        sums *= width[:, None, None]
+            vals = _on_arrays(f, rows.ravel())
+            vector = vals.ndim == 2
+            parts.append(_GK21_W @ vals.reshape(*rows.shape, *(vals.shape[1:] or (1,))))
+            s += len(rows)
+            per_call = max(1, _CHUNK // max(vals.size // len(rows), 1))
+        sums = np.concatenate(parts) * width[:, None, None]
         kron = sums[:, 0]
         gap = np.abs(sums[:, 1])
         value = total + np.add.reduce(kron)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
         bound = error + np.add.reduce(gap)
         if (bound <= tol).all():
-            return QuadResult(value, float(bound.max(initial=0.0)), evals)
+            break
         done = (gap <= tol * (width / (b - a))[:, None]).all(axis=1)
         total = total + np.add.reduce(kron[done])
         error = error + np.add.reduce(gap[done])
         lo, width = lo[~done], 0.5 * width[~done]
         if not lo.size:  # every share met, but the tolerance shrank with |integral|
-            return QuadResult(total, float(error.max(initial=0.0)), evals)
+            value, bound = total, error
+            break
         lo, width = np.concatenate([lo, lo + width]), np.concatenate([width, width])
+    err = float(np.max(bound, initial=0.0))
+    return QuadResult(value if vector else float(value[0]), err, evals)
 
 
 def _cholesky(cov: np.ndarray) -> np.ndarray:
@@ -235,10 +245,12 @@ def mvn_rect_prob(dist: GaussianMulti, lower, upper,
     up to a power of two (at least 64). For k = 1 the transform is exact and
     no sampling happens.
 
-    Returns a value clipped to ``[0, 1]``; ``error_estimate`` is the 99%
-    half-width across replicates. The result is remembered for ``dist``
-    (keyed on the bound bytes and ``cfg``) while ``dist`` lives, so a
-    repeated box returns the same result, ``evaluations`` included.
+    Returns a value clipped to ``(0, 1]``; ``error_estimate`` is the 99%
+    half-width across replicates. A box with ``lower < upper`` has positive
+    mass, so an estimate of 0 raises :class:`NonConvergence`. The result is
+    remembered for ``dist`` (keyed on the bound bytes and ``cfg``) while
+    ``dist`` lives, so a repeated box returns the same result,
+    ``evaluations`` included.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -249,8 +261,11 @@ def mvn_rect_prob(dist: GaussianMulti, lower, upper,
         )
     if not np.all(lower < upper):
         raise DomainError("each lower bound must be < the matching upper bound")
-    return _BOX_MEMO.get(dist, (lower.tobytes(), upper.tobytes(), cfg),
-                         lambda: _box_prob(dist, lower, upper, cfg))
+    result = _BOX_MEMO.get(dist, (lower.tobytes(), upper.tobytes(), cfg),
+                           lambda: _box_prob(dist, lower, upper, cfg))
+    if result.value <= 0.0:
+        raise NonConvergence("a box probability underflowed to 0: the box lies too far out")
+    return result
 
 
 def _box_prob(dist: GaussianMulti, lower: np.ndarray, upper: np.ndarray,
@@ -261,9 +276,14 @@ def _box_prob(dist: GaussianMulti, lower: np.ndarray, upper: np.ndarray,
     a = lower - dist.mu
     b = upper - dist.mu
 
+    a0, b0 = a[0] / chol[0, 0], b[0] / chol[0, 0]
     if k == 1:
-        return QuadResult(math.exp(log_gauss_mass(a[0] / chol[0, 0], b[0] / chol[0, 0])),
-                          0.0, 1)
+        return QuadResult(math.exp(log_gauss_mass(a0, b0)), 0.0, 1)
+    if a0 > 0:
+        # above the mean, sample -y_1 instead, whose mass does not cancel (as in
+        # log_gauss_mass); the later coordinates see y_1 through a negated column
+        a0, b0 = -b0, -a0
+        chol[1:, 0] = -chol[1:, 0]
 
     n_per_rep = 1 << max(6, math.ceil(math.log2(max(1, cfg.mc_samples // MC_REPLICATES))))
     children = np.random.SeedSequence(cfg.seed).spawn(MC_REPLICATES)
@@ -274,8 +294,8 @@ def _box_prob(dist: GaussianMulti, lower: np.ndarray, upper: np.ndarray,
         w = qmc.Sobol(d=k - 1, scramble=True,
                       seed=np.random.default_rng(child)).random_base2(
             int(math.log2(n_per_rep)))
-        d = np.full(n_per_rep, ndtr(a[0] / chol[0, 0]))
-        e = np.full(n_per_rep, ndtr(b[0] / chol[0, 0]))
+        d = np.full(n_per_rep, ndtr(a0))
+        e = np.full(n_per_rep, ndtr(b0))
         prod = e - d
         y = np.empty((n_per_rep, k - 1))
         for i in range(1, k):
@@ -313,13 +333,7 @@ def integrate_2d_mc(f: ScalarFn2, box, cfg: QuadConfig = DEFAULT_CONFIG) -> Quad
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     xs = rng.uniform(x_lo, x_hi, n)
     ys = rng.uniform(y_lo, y_hi, n)
-    try:
-        vals = np.asarray(f(xs, ys), dtype=float)
-        if vals.shape != (n,):
-            raise TypeError
-    except TypeError:
-        vals = np.fromiter((f(float(x), float(y)) for x, y in zip(xs, ys)),
-                           dtype=float, count=n)
+    vals = _on_arrays(f, xs, ys)
     area = (x_hi - x_lo) * (y_hi - y_lo)
     value = float(vals.mean()) * area
     se = float(vals.std(ddof=1)) * area / math.sqrt(n)

@@ -37,7 +37,7 @@ from .errors import (
     InvalidDistribution,
     MomentMismatch,
 )
-from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate_1d
+from .quadrature import DEFAULT_CONFIG, QuadConfig, _on_arrays, integrate_1d
 
 __all__ = [
     "JointDensitySpec",
@@ -53,17 +53,6 @@ __all__ = [
 GRID_POINTS = 401
 #: tolerance for the marginal spot-checks and the E[h(Y)] verification.
 MOMENT_TOL = 1e-4
-
-
-def _on_arrays(f: ScalarFn | ScalarFn2, *args: np.ndarray) -> np.ndarray:
-    """``f`` applied to whole arrays, or element by element if it takes only scalars."""
-    try:
-        out = np.asarray(f(*args), dtype=float)
-        if out.shape == args[0].shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.vectorize(f, otypes=[float])(*args)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,17 +81,15 @@ class JointDensitySpec:
         object.__setattr__(self, "mu_x", float(self.mu_x))
         object.__setattr__(self, "mu_y", float(self.mu_y))
         probes = np.linspace(a, b, 10)[1:-1]
-        for over, at, name, marginal, section in (
-                ("u", "t", "f_x", self.f_x, lambda t: lambda u: self.f_xy(t, u)),
-                ("t", "u", "f_y", self.f_y, lambda u: lambda t: self.f_xy(t, u))):
-            for p in probes:
-                got = integrate_1d(section(p), a, b).value
-                want = float(marginal(p))
-                if abs(got - want) > MOMENT_TOL * max(1.0, abs(want)):
-                    raise InvalidDistribution(
-                        f"joint integrated over {over} gives {got!r} at {at}={p!r}, "
-                        f"but {name} states {want!r}"
-                    )
+        for over, at, name, marginal, joint in (
+                ("u", "t", "f_x", self.f_x, lambda u, p: _on_arrays(self.f_xy, p, u)),
+                ("t", "u", "f_y", self.f_y, lambda t, p: _on_arrays(self.f_xy, t, p))):
+            got = integrate_1d(lambda x: joint(*np.meshgrid(x, probes, indexing="ij")),
+                               a, b).value
+            for p, g, w in np.column_stack([probes, got, _on_arrays(marginal, probes)]).tolist():
+                if abs(g - w) > MOMENT_TOL * max(1.0, abs(w)):
+                    raise InvalidDistribution(f"joint integrated over {over} gives {g!r} at "
+                                              f"{at}={p!r}, but {name} states {w!r}")
 
     @classmethod
     def bivariate_normal(cls, mu_x: float = 0.0, mu_y: float = 0.0,
@@ -219,19 +206,16 @@ def _two_resolution(spec: JointDensitySpec, compute, n: int = GRID_POINTS):
 
 def _marginal_overlap(spec: JointDensitySpec, cfg: QuadConfig) -> float:
     """Overlap coefficient ``integral sqrt(f_X f_Y)`` of the two marginals."""
-    a, b = spec.support
-    rho = integrate_1d(
-        lambda t: math.sqrt(max(float(spec.f_x(t)), 0.0)
-                            * max(float(spec.f_y(t)), 0.0)),
-        a, b, cfg,
-    ).value
+    rho = integrate_1d(lambda t: np.sqrt(np.maximum(_on_arrays(spec.f_x, t), 0.0)
+                                         * np.maximum(_on_arrays(spec.f_y, t), 0.0)),
+                       *spec.support, cfg).value
     return DivergenceValue.from_coefficient(rho).coefficient
 
 
 def _check_mean_h(spec: JointDensitySpec, h: ScalarFn, cfg: QuadConfig) -> None:
     """Raise :class:`MomentMismatch` unless ``E[h(Y)] = mu_Y`` to 1e-4."""
     a, b = spec.support
-    e_h = integrate_1d(lambda y: float(h(y)) * float(spec.f_y(y)), a, b, cfg).value
+    e_h = integrate_1d(lambda y: _on_arrays(h, y) * _on_arrays(spec.f_y, y), a, b, cfg).value
     if abs(e_h - spec.mu_y) > MOMENT_TOL:
         raise MomentMismatch(
             f"E[h(Y)] = {e_h!r} but mu_Y = {spec.mu_y!r}; the identity assumes equality"
@@ -255,11 +239,15 @@ def g_from_joint(spec: JointDensitySpec, h: ScalarFn, r: float, u: float,
     dens = float(spec.f_xy(r, u))
     if dens <= 1e-300:
         raise DensityUnderflow(f"joint density underflows at ({r!r}, {u!r})")
+
+    def section(t: np.ndarray) -> np.ndarray:
+        return _on_arrays(spec.f_xy, t, np.full_like(t, u))
+
     if form == "upper":
-        tail = integrate_1d(lambda t: float(spec.f_xy(t, u)), r, b, cfg).value
+        tail = integrate_1d(section, r, b, cfg).value
         return (float(h(u)) - spec.mu_y) * tail / dens
     if form == "lower":
-        head = integrate_1d(lambda t: float(spec.f_xy(t, u)), a, r, cfg).value
+        head = integrate_1d(section, a, r, cfg).value
         return -(float(h(u)) - spec.mu_y) * head / dens
     raise DomainError(f"form must be 'upper' or 'lower', got {form!r}")
 

@@ -11,6 +11,7 @@ import math
 
 import mpmath
 import numpy as np
+from scipy import integrate
 
 mpmath.mp.dps = 30
 
@@ -82,6 +83,20 @@ def nln_density_mp(u: float, k: int, mu_y: float, sigma_y: float) -> float:
         area = mpmath.quad(lambda y: mpmath.exp(phi(y) - top),
                            [lo - 40 * w, lo - 4 * w, lo + 4 * w, lo + 15 * s + 10 * w])
         return float(mpmath.sqrt(k) / (2 * mpmath.pi * s) * mpmath.exp(top) * area)
+
+
+def quad_ref(f, a: float, b: float, points=None) -> float:
+    """``integral_a^b f`` by QUADPACK (``scipy.integrate.quad``) at tight tolerances.
+
+    ``f`` is called on scalars. ``points`` lists breakpoints inside a finite
+    range; on an infinite one the range is split there instead.
+    """
+    g = lambda x: float(f(x))  # noqa: E731
+    kw = dict(epsabs=1e-14, epsrel=1e-13, limit=500)
+    if points and not (math.isfinite(a) and math.isfinite(b)):
+        cuts = [a, *points, b]
+        return sum(integrate.quad(g, lo, hi, **kw)[0] for lo, hi in zip(cuts, cuts[1:]))
+    return integrate.quad(g, a, b, points=points, **kw)[0]
 
 
 def orthant_bivariate(rho: float) -> float:

@@ -80,6 +80,15 @@ class TestNlnDensity:
             want = nln_density_mp(xs[i], comp.k, comp.mu_y, comp.sigma_y)
             assert got[i] == pytest.approx(want, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("comp, u", [
+        (NLNComponent(6, -0.08, 0.37), 30.0), (NLNComponent(6, -0.08, 0.37), 300.0),
+        (NLNComponent(1, 0.0, 1.5), 1e6), (NLNComponent(1, 0.0, 1.5), 1e8),
+    ], ids=repr)
+    def test_far_tail_peak_beyond_ten_sigma(self, comp, u):
+        # the mixing integrand peaks more than 10 sigma_y above mu_y here
+        want = nln_density_mp(u, comp.k, comp.mu_y, comp.sigma_y)
+        assert nln_density(u, comp) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("u", [1e4, 1e6, 1e10])
     def test_deep_tail_at_wide_mixing(self, u):
         # each integrand is scaled to its peak, so a value of 1e-19 is held to
@@ -116,6 +125,21 @@ class TestNlnDensity:
         # the least budget, and one that allows only the first pass
         with pytest.raises(NonConvergence):
             nln_density(100.0, NLNComponent(1, 0.0, 2.0), QuadConfig(max_evals=max_evals))
+
+    @pytest.mark.parametrize("sigma", [0.5, 20.0, 36.0])
+    def test_zero_against_closed_form(self, sigma):
+        # f(0) = sqrt(k / 2 pi) exp(sigma_y^2 / 2 - mu_y); past sigma_y = 35 the
+        # tail term of the integrand overflows at the lower end of the range
+        comp = NLNComponent(2, 0.3, sigma)
+        want = math.sqrt(comp.k / (2 * math.pi)) * math.exp(0.5 * sigma * sigma - comp.mu_y)
+        assert nln_density(0.0, comp) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_budget_below_first_full_pass(self):
+        # 168 nodes make 8 panels, enough for a mixing width of 1e-3
+        comp = NLNComponent(2, 0.1, 1e-3)
+        got = nln_density([0.0, 0.5, 2.0], comp, QuadConfig(max_evals=168))
+        want = [nln_density_mp(u, comp.k, comp.mu_y, comp.sigma_y) for u in (0.0, 0.5, 2.0)]
+        assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
     def test_matches_simulation_histogram(self):
         comp = NLNComponent(1, 0.0, 1.0)

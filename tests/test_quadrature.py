@@ -16,9 +16,9 @@ from distsim import (
     std_normal_cdf,
 )
 
-from distsim.quadrature import integrate_1d_vec, log_gauss_mass
+from distsim.quadrature import log_gauss_mass
 
-from oracles import cdf_series, log_gauss_mass_mp, orthant_bivariate
+from oracles import cdf_series, log_gauss_mass_mp, orthant_bivariate, quad_ref
 
 CFG = QuadConfig(seed=123)
 
@@ -73,11 +73,72 @@ class TestIntegrate1d:
         with pytest.raises(NonConvergence):
             integrate_1d(lambda x: abs(math.sin(50 / (x + 0.01))), 0, 1, starved)
 
+    def test_least_budget_is_one_exact_panel(self):
+        r = integrate_1d(lambda x: x ** 3 - 2.0 * x, 0.0, 1.0, QuadConfig(max_evals=21))
+        assert r.value == pytest.approx(-0.75, rel=1e-15, abs=0.0)
+        assert r.evaluations == 21 and isinstance(r.value, float)
+
+    @pytest.mark.parametrize("f", [
+        lambda x: np.exp(-0.5 * (x - 3.0) ** 2) + 0.2 * np.exp(-np.abs(x + 40.0)),
+        lambda x: 1.0 / (1.0 + x * x),
+        lambda x: np.exp(-x * x) * np.cos(3.0 * x),
+    ], ids=["mixture", "cauchy", "damped-cosine"])
+    def test_whole_line_against_reference(self, f):
+        got = integrate_1d(f, -math.inf, math.inf, CFG).value
+        assert got == pytest.approx(quad_ref(f, -math.inf, math.inf), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("a, b, f, want", [
+        (0.0, math.inf, lambda x: np.exp(-x), 1.0),
+        (-math.inf, 0.0, lambda x: np.exp(x), 1.0),
+        (2.0, math.inf, lambda x: 1.0 / (x * x), 0.5),
+        (-math.inf, -2.0, lambda x: 1.0 / (x * x), 0.5),
+        (-1.5, math.inf, lambda x: np.exp(-0.5 * x * x),
+         math.sqrt(2 * math.pi) * math.exp(log_gauss_mass_mp(-1.5, math.inf))),
+        (-math.inf, 7.0, lambda x: np.exp(-0.5 * (x - 5.0) ** 2),
+         math.sqrt(2 * math.pi) * math.exp(log_gauss_mass_mp(-math.inf, 2.0))),
+    ])
+    def test_half_lines_against_closed_forms(self, a, b, f, want):
+        assert integrate_1d(f, a, b, CFG).value == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("a, b", [(-math.inf, math.inf), (0.5, math.inf), (-math.inf, 0.5)])
+    def test_scalar_only_callable(self, a, b):
+        def f(x):  # math.exp takes no arrays
+            return math.exp(-x * x) * (2.0 if x > 0.5 else 1.0)
+
+        got = integrate_1d(f, a, b, CFG)
+        assert isinstance(got.value, float)
+        assert got.value == pytest.approx(quad_ref(f, a, b, points=(0.5,)), rel=1e-9, abs=0.0)
+
+    def test_disjoint_indicators(self):
+        def boxes(x):
+            f = ((0.0 <= x) & (x <= 1.0)).astype(float)
+            g = ((2.0 <= x) & (x <= 3.0)).astype(float)
+            return np.stack([f, g, np.sqrt(f * g)], axis=1)
+
+        r = integrate_1d(boxes, -1.0, 4.0, CFG)
+        assert np.allclose(r.value, [1.0, 1.0, 0.0], rtol=0.0, atol=1e-9)
+        assert r.value[2] == 0.0
+
+    @pytest.mark.parametrize("a, b, left, right", [
+        (-math.inf, math.inf, 1.0, 1.0), (0.0, math.inf, 0.0, 1.0), (-math.inf, 0.0, 1.0, 0.0),
+    ])
+    def test_vector_valued_on_infinite_range(self, a, b, left, right):
+        powers = np.arange(8)
+        r = integrate_1d(lambda x: x[:, None] ** powers * np.exp(-0.5 * x * x)[:, None],
+                         a, b, CFG)
+        # integral_0^inf x^j exp(-x^2 / 2) dx, and (-1)^j times it on the left
+        half = np.array([2.0 ** ((j - 1) / 2) * math.gamma((j + 1) / 2) for j in powers])
+        want = right * half + left * (-1.0) ** powers * half
+        assert r.value.shape == (8,)
+        assert np.allclose(r.value, want, rtol=1e-9, atol=1e-12)
+
 
 class TestIntegrate1dVec:
+    """:func:`integrate_1d` on vector-valued integrands: shared panels, chunks, budget."""
+
     def test_polynomials_exact_in_one_pass(self):
         powers = np.arange(32)
-        r = integrate_1d_vec(lambda x: x[:, None] ** powers, -1.0, 2.0, powers.size, CFG)
+        r = integrate_1d(lambda x: x[:, None] ** powers, -1.0, 2.0, CFG)
         want = (2.0 ** (powers + 1) - (-1.0) ** (powers + 1)) / (powers + 1)
         assert np.allclose(r.value, want, rtol=1e-13, atol=0.0)
         assert r.evaluations == 24 * 21
@@ -88,20 +149,21 @@ class TestIntegrate1dVec:
         def peaks(x):
             return np.exp(-0.5 * ((x[:, None] - centers) / 0.01) ** 2)
 
-        r = integrate_1d_vec(peaks, -5.0, 5.0, centers.size, CFG)
+        r = integrate_1d(peaks, -5.0, 5.0, CFG)
         assert np.allclose(r.value, 0.01 * math.sqrt(2 * math.pi), rtol=1e-12, atol=0.0)
         assert r.error_estimate <= max(CFG.abs_tol, CFG.rel_tol * r.value.max())
         assert r.evaluations > 24 * 21
 
     def test_calls_stay_within_chunk(self):
-        scales = np.linspace(0.5, 2.0, 1000)  # three panels a call
+        scales = np.linspace(0.5, 2.0, 1000)  # one panel first, then three a call
         shapes = []
 
         def gaussians(x):
             shapes.append(x.size * scales.size)
             return np.exp(-scales * x[:, None] ** 2)
 
-        r = integrate_1d_vec(gaussians, -12.0, 12.0, scales.size, CFG)
+        r = integrate_1d(gaussians, -12.0, 12.0, CFG)
+        assert shapes[0] == 21 * scales.size
         assert max(shapes) == 3 * 21 * scales.size
         assert np.allclose(r.value, np.sqrt(np.pi / scales), rtol=1e-13, atol=0.0)
 
@@ -111,15 +173,16 @@ class TestIntegrate1dVec:
 
         for budget in (21, 2000):
             with pytest.raises(NonConvergence):
-                integrate_1d_vec(wiggle, 0.0, 1.0, 1, QuadConfig(max_evals=budget))
+                integrate_1d(wiggle, 0.0, 1.0, QuadConfig(max_evals=budget))
 
-    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
+    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, 0.0), (math.inf, math.inf),
+                                      (math.nan, 1.0)])
     def test_bad_interval(self, a, b):
         with pytest.raises(DomainError):
-            integrate_1d_vec(lambda x: x[:, None], a, b, 1, CFG)
+            integrate_1d(lambda x: x[:, None], a, b, CFG)
 
     def test_no_entries(self):
-        r = integrate_1d_vec(lambda x: np.empty((x.size, 0)), 0.0, 1.0, 0, CFG)
+        r = integrate_1d(lambda x: np.empty((x.size, 0)), 0.0, 1.0, CFG)
         assert r.value.shape == (0,) and r.error_estimate == 0.0
 
 
@@ -156,6 +219,20 @@ class TestMvnRectProb:
         assert r.value == pytest.approx(7.6197e-24, rel=1e-4, abs=0.0)
         assert r.value == pytest.approx(math.exp(log_gauss_mass_mp(10.0, 11.0)),
                                         rel=1e-9, abs=0.0)
+
+    def test_far_tail_first_coordinate(self):
+        # Phi(10) - Phi(9) cancels to 0 in float64; mirrored, the mass is 1.1e-19
+        r = mvn_rect_prob(GaussianMulti([0.0, 0.0], np.eye(2)), [9.0, -1.0], [10.0, 1.0], CFG)
+        want = math.exp(log_gauss_mass(9.0, 10.0) + log_gauss_mass(-1.0, 1.0))
+        assert want == pytest.approx(7.7e-20, rel=1e-2)
+        assert r.value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_zero_estimate_raises(self):
+        # the same box with its axes swapped: the second coordinate's mass cancels
+        g = GaussianMulti([0.0, 0.0], np.eye(2))
+        assert math.exp(log_gauss_mass(-1.0, 1.0) + log_gauss_mass(9.0, 10.0)) > 0.0
+        with pytest.raises(NonConvergence):
+            mvn_rect_prob(g, [-1.0, 9.0], [1.0, 10.0], CFG)
 
     def test_independent_octant(self):
         g = GaussianMulti(np.zeros(3), np.eye(3))
