@@ -70,7 +70,6 @@ from .quadrature import (
     integrate_1d,
     integrate_2d_mc,
     mvn_rect_prob,
-    std_normal_cdf,
 )
 from .reduce import (
     DistortionReport,

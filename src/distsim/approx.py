@@ -35,6 +35,7 @@ from scipy.special import wrightomega
 
 from .core import DiscreteDist, _freeze
 from .errors import (
+    DensityOverflow,
     DomainError,
     GridTooCoarse,
     InvalidDistribution,
@@ -54,6 +55,8 @@ __all__ = [
 
 #: integration range for the mixing variable about its peak, in its own sd.
 _MIX_RANGE_SIGMAS = 10.0
+#: natural log of the largest float.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 #: default grid resolution and half-span (in combined standard deviations).
 DEFAULT_GRID_POINTS = 4096
 DEFAULT_GRID_SPAN = 12.0
@@ -136,7 +139,10 @@ def nln_density(u, comp: NLNComponent, cfg: QuadConfig = DEFAULT_CONFIG):
     at once, as one :func:`~distsim.quadrature.integrate_1d` call. Each
     entry's integrand is divided by its peak, so every entry is held to the
     same relative tolerance, deep tails included. NaN raises
-    :class:`DomainError`; ``+-inf`` gives 0.
+    :class:`DomainError`; ``+-inf`` gives 0. The density peaks at ``u = 0``
+    at ``sqrt(k / 2 pi) exp(sigma_y^2 / 2 - mu_y)``; a component for which
+    that value or its exponential factor exceeds the float range (``sigma_y``
+    above about 37.7 at ``mu_y = 0``) raises :class:`DensityOverflow`.
     """
     arr = np.asarray(u, dtype=float)
     if np.isnan(arr).any():
@@ -165,6 +171,9 @@ def _mixture_integral(mags: np.ndarray, comp: NLNComponent,
     """
     k, mu, sig = comp.k, comp.mu_y, comp.sigma_y
     s2 = sig * sig
+    # exp(-mu_y - rise) and the density are largest at u = 0: one check covers all u
+    if 0.5 * s2 - mu + max(0.0, 0.5 * math.log(k / (2.0 * math.pi))) > _LOG_FLOAT_MAX:
+        raise DensityOverflow(f"the density of {comp} at u = 0 exceeds the float range")
     with np.errstate(divide="ignore"):  # ln(0) = -inf at u = 0, where omega is 0
         lw = 2.0 * np.log(mags) + (math.log(0.5 * k) - 2.0 * mu)
     omega = wrightomega(lw + (math.log(4.0 * s2) + 2.0 * s2))

@@ -281,9 +281,10 @@ def _cmd_verify(args) -> int:
 
 # ------------------------------------------------------------------- parser
 
-_MC_SAMPLES_HELP = ("box-probability samples, split over 12 replicates that each round "
-                    "their share up to a power of two: the default 200000 samples "
-                    "393216 points")
+_MC_SAMPLES_HELP = ("cap on box-probability samples, split over 12 replicates that each "
+                    "round their share up to a power of two (at most 393216 points at "
+                    "the default 200000); a box stops earlier once its 99%% half-width "
+                    "is within 1e-5 of its value")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -18,6 +18,7 @@ __all__ = [
     "GridTooCoarse",
     "MomentMatrixNotPD",
     "DensityUnderflow",
+    "DensityOverflow",
     "BoundaryConditionViolated",
     "MomentMismatch",
     "NoSolution",
@@ -72,6 +73,10 @@ class MomentMatrixNotPD(DistsimError, ValueError):
 
 class DensityUnderflow(DistsimError, ArithmeticError):
     """A density value is too close to zero to divide by safely."""
+
+
+class DensityOverflow(DistsimError, ArithmeticError):
+    """A density value exceeds the float range."""
 
 
 class BoundaryConditionViolated(DistsimError, ArithmeticError):

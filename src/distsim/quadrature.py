@@ -1,9 +1,7 @@
 """Numerical integration primitives.
 
-Five entry points, all pure and reproducible:
+Four entry points, all pure and reproducible:
 
-* :func:`std_normal_cdf` -- standard normal CDF, absolute error below 1e-12
-  (Cephes ``ndtr`` rational erf approximation, exact at infinities).
 * :func:`log_gauss_mass` -- log standard normal mass of an interval, from
   ``log_ndtr`` in its own tail; every univariate normal mass is taken here.
 * :func:`integrate_1d` -- adaptive Gauss-Kronrod quadrature (the QUADPACK
@@ -11,8 +9,9 @@ Five entry points, all pure and reproducible:
   integrand on a finite or infinite interval, on panels evaluated as arrays.
 * :func:`mvn_rect_prob` -- multivariate normal probability of a box, via the
   separation-of-variables transform (Cholesky factor plus sequential
-  conditioning) sampled with scrambled Sobol points; the error estimate is
-  a 99% half-width over independent randomized replicates.
+  conditioning) sampled with scrambled Sobol points until the 99% half-width
+  over independent randomized replicates is within :data:`MC_REL_TARGET`
+  of the value, or the sample budget is spent.
 * :func:`integrate_2d_mc` -- plain Monte Carlo over a finite rectangle with
   a three-standard-error estimate.
 
@@ -30,6 +29,8 @@ Nothing is shared between distinct objects, however equal their values.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -42,11 +43,17 @@ from scipy.stats import t as _student_t
 from .core import GaussianMulti, ObjectMemo, QuadResult, ScalarFn2
 from .errors import DimensionMismatch, DomainError, NonConvergence, NotPositiveDefinite
 
-__all__ = ["QuadConfig", "std_normal_cdf", "log_gauss_mass", "integrate_1d",
-           "mvn_rect_prob", "integrate_2d_mc"]
+__all__ = ["QuadConfig", "log_gauss_mass", "integrate_1d", "mvn_rect_prob",
+           "integrate_2d_mc"]
 
 #: replicate count for randomized quasi-Monte Carlo error estimation.
 MC_REPLICATES = 12
+#: relative 99% half-width at which :func:`mvn_rect_prob` stops sampling.
+MC_REL_TARGET = 1e-5
+#: Student t quantile of a two-sided 99% interval over the replicates.
+_T995 = float(_student_t.ppf(0.995, MC_REPLICATES - 1))
+#: most sample rows one conditioning pass of :func:`mvn_rect_prob` holds.
+_BOX_ROWS = 1 << 15
 
 #: 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK ``qk21``), even in x:
 #: the nodes x >= 0, their Kronrod weights, and their weights in the embedded
@@ -80,11 +87,12 @@ class QuadConfig:
 
     ``max_evals`` bounds the nodes (abscissae) :func:`integrate_1d` evaluates
     over all its passes; 21 nodes make one panel, so 21 is the least budget.
-    ``mc_samples`` is the sample count of :func:`integrate_2d_mc`.
-    :func:`mvn_rect_prob` splits it over its :data:`MC_REPLICATES`
-    replicates and rounds each share up to a power of two (at least 64), so
-    it samples up to twice as many points: 12 x 32,768 = 393,216 at the
-    default 200,000.
+    ``mc_samples`` is the sample count of :func:`integrate_2d_mc`. For
+    :func:`mvn_rect_prob` it is a cap: split over its :data:`MC_REPLICATES`
+    replicates, each share rounded up to a power of two (at least 64), so at
+    most 12 x 32,768 = 393,216 points at the default 200,000. A box stops
+    sampling earlier once its 99% half-width is within :data:`MC_REL_TARGET`
+    (1e-5) of its value.
     """
 
     abs_tol: float = 1e-9
@@ -103,18 +111,6 @@ class QuadConfig:
 
 
 DEFAULT_CONFIG = QuadConfig()
-
-
-def std_normal_cdf(x):
-    """Standard normal CDF; accepts scalars or arrays, and ``+-inf``.
-
-    Monotone nondecreasing with ``cdf(-inf) = 0`` and ``cdf(+inf) = 1``;
-    absolute error below 1e-12 everywhere.
-    """
-    out = ndtr(np.asarray(x, dtype=float))
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
 
 
 def log_gauss_mass(a: float, b: float) -> float:
@@ -241,16 +237,19 @@ def mvn_rect_prob(dist: GaussianMulti, lower, upper,
     Bound entries may be infinite. The sequential-conditioning transform
     reduces the k-dimensional integral to an expectation over the unit cube
     of dimension k-1, estimated with :data:`MC_REPLICATES` independently
-    scrambled Sobol streams of ``cfg.mc_samples // 12`` points each, rounded
-    up to a power of two (at least 64). For k = 1 the transform is exact and
-    no sampling happens.
+    scrambled Sobol streams. Each stream's cap is ``cfg.mc_samples // 12``
+    points, rounded up to a power of two (at least 64). A stream first takes
+    1,024 points (or its cap, if less), then doubles by taking the next
+    points of its sequence, until the 99% half-width across replicates is
+    at most :data:`MC_REL_TARGET` (1e-5) times the value or the cap is
+    reached. For k = 1 the transform is exact and no sampling happens.
 
     Returns a value clipped to ``(0, 1]``; ``error_estimate`` is the 99%
-    half-width across replicates. A box with ``lower < upper`` has positive
-    mass, so an estimate of 0 raises :class:`NonConvergence`. The result is
-    remembered for ``dist`` (keyed on the bound bytes and ``cfg``) while
-    ``dist`` lives, so a repeated box returns the same result,
-    ``evaluations`` included.
+    half-width across replicates and ``evaluations`` the count of points
+    sampled. A box with ``lower < upper`` has positive mass, so an estimate
+    of 0 raises :class:`NonConvergence`. The result is remembered for
+    ``dist`` (keyed on the bound bytes and ``cfg``) while ``dist`` lives, so
+    a repeated box returns the same result, ``evaluations`` included.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -275,49 +274,74 @@ def _box_prob(dist: GaussianMulti, lower: np.ndarray, upper: np.ndarray,
     chol = _cholesky(np.asarray(dist.cov, dtype=float))
     a = lower - dist.mu
     b = upper - dist.mu
-
-    a0, b0 = a[0] / chol[0, 0], b[0] / chol[0, 0]
     if k == 1:
-        return QuadResult(math.exp(log_gauss_mass(a0, b0)), 0.0, 1)
-    if a0 > 0:
-        # above the mean, sample -y_1 instead, whose mass does not cancel (as in
-        # log_gauss_mass); the later coordinates see y_1 through a negated column
-        a0, b0 = -b0, -a0
-        chol[1:, 0] = -chol[1:, 0]
+        return QuadResult(math.exp(log_gauss_mass(a[0] / chol[0, 0], b[0] / chol[0, 0])),
+                          0.0, 1)
 
-    n_per_rep = 1 << max(6, math.ceil(math.log2(max(1, cfg.mc_samples // MC_REPLICATES))))
-    children = np.random.SeedSequence(cfg.seed).spawn(MC_REPLICATES)
-    tiny = np.finfo(float).tiny
-    rep_vals = np.empty(MC_REPLICATES)
-
-    for r, child in enumerate(children):
-        w = qmc.Sobol(d=k - 1, scramble=True,
-                      seed=np.random.default_rng(child)).random_base2(
-            int(math.log2(n_per_rep)))
-        d = np.full(n_per_rep, ndtr(a0))
-        e = np.full(n_per_rep, ndtr(b0))
-        prod = e - d
-        y = np.empty((n_per_rep, k - 1))
-        for i in range(1, k):
-            z = np.clip(d + w[:, i - 1] * (e - d), tiny, 1.0 - 1e-16)
-            y[:, i - 1] = ndtri(z)
-            t_shift = y[:, :i] @ chol[i, :i]
-            d = ndtr((a[i] - t_shift) / chol[i, i])
-            e = ndtr((b[i] - t_shift) / chol[i, i])
-            prod = prod * np.maximum(e - d, 0.0)
-        rep_vals[r] = prod.mean()
-
-    value = float(rep_vals.mean())
-    sd = float(rep_vals.std(ddof=1))
-    half_width = float(_student_t.ppf(0.995, MC_REPLICATES - 1)) * sd / math.sqrt(
-        MC_REPLICATES)
+    cap = 1 << max(6, math.ceil(math.log2(max(1, cfg.mc_samples // MC_REPLICATES))))
+    engines = [copy.deepcopy(engine) for engine in _sobol_engines(cfg.seed, k - 1)]
+    sums = np.zeros(MC_REPLICATES)
+    drawn, n = 0, min(cap, 1 << 10)
+    while True:
+        # each replicate's next n points extend its stream; replicates are
+        # stacked, as many at a time as fit in _BOX_ROWS rows
+        group = max(1, _BOX_ROWS // n)
+        for r in range(0, MC_REPLICATES, group):
+            w = np.concatenate([engine.random(n) for engine in engines[r:r + group]])
+            sums[r:r + group] += _conditioned_mass(w, a, b, chol).reshape(-1, n).sum(axis=1)
+        drawn += n
+        rep_vals = sums / drawn
+        value = float(rep_vals.mean())
+        half_width = _T995 * float(rep_vals.std(ddof=1)) / math.sqrt(MC_REPLICATES)
+        if drawn == cap or half_width <= MC_REL_TARGET * value:
+            break
+        n = drawn
     if not math.isfinite(value) or half_width > 0.05:
         raise NonConvergence(
             f"box probability did not stabilize (estimate {value!r}, "
             f"99% half-width {half_width:.3e})"
         )
-    return QuadResult(min(max(value, 0.0), 1.0), half_width,
-                      MC_REPLICATES * n_per_rep)
+    return QuadResult(min(max(value, 0.0), 1.0), half_width, MC_REPLICATES * drawn)
+
+
+@functools.lru_cache(maxsize=8)
+def _sobol_engines(seed: int, d: int) -> tuple[qmc.Sobol, ...]:
+    """The replicates' scrambled Sobol engines for ``seed``, never drawn from.
+
+    Every box of one seed and dimension starts from the same scrambles, and
+    copying an engine costs a quarter of building it.
+    """
+    return tuple(qmc.Sobol(d=d, scramble=True, seed=np.random.default_rng(child))
+                 for child in np.random.SeedSequence(seed).spawn(MC_REPLICATES))
+
+
+def _conditioned_mass(w: np.ndarray, a: np.ndarray, b: np.ndarray,
+                      chol: np.ndarray) -> np.ndarray:
+    """The box mass given each row of ``w``, points of the unit cube of dimension k-1.
+
+    Coordinate i takes the standard normal mass of its bounds given the
+    coordinates before it, and a point of ``w`` draws it inside them. Where
+    the lower bound lies above the mean, the mirrored interval is taken (as
+    in :func:`log_gauss_mass`), whose mass does not cancel, and the draw is
+    negated.
+    """
+    k = chol.shape[0]
+    tiny = np.finfo(float).tiny
+    y = np.empty_like(w)
+    lo, hi = a[0] / chol[0, 0], b[0] / chol[0, 0]
+    prod = 1.0
+    for i in range(k):
+        if i:
+            shift = y[:, :i] @ chol[i, :i]
+            lo, hi = (a[i] - shift) / chol[i, i], (b[i] - shift) / chol[i, i]
+        flip = lo > 0
+        d = ndtr(np.where(flip, -hi, lo))
+        e = ndtr(np.where(flip, -lo, hi))
+        prod = prod * np.maximum(e - d, 0.0)
+        if i < k - 1:
+            q = ndtri(np.clip(d + w[:, i] * (e - d), tiny, 1.0 - 1e-16))
+            y[:, i] = np.where(flip, -q, q)
+    return prod
 
 
 def integrate_2d_mc(f: ScalarFn2, box, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:

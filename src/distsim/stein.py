@@ -230,12 +230,19 @@ def g_from_joint(spec: JointDensitySpec, h: ScalarFn, r: float, u: float,
     ``form="lower"`` from the lower edge to ``r`` with the opposite sign.
     The two forms agree once integrated against ``u`` (their pointwise gap
     is ``(h(u) - mu_Y) f_Y(u) / f(r, u)``, which integrates to zero because
-    ``E[h(Y)] = mu_Y``); that mean condition is verified here to 1e-4.
+    ``E[h(Y)] = mu_Y``); that mean condition is verified here to 1e-4. At
+    the closed edge the form integrates over (``r = b`` for ``"upper"``,
+    ``r = a`` for ``"lower"``) the kernel is exactly 0.
     """
     a, b = spec.support
     if not a <= r <= b:
         raise DomainError(f"r={r!r} outside the support")
+    if form not in ("upper", "lower"):
+        raise DomainError(f"form must be 'upper' or 'lower', got {form!r}")
     _check_mean_h(spec, h, cfg)
+    lo, hi, sign = (r, b, 1.0) if form == "upper" else (a, r, -1.0)
+    if lo == hi:
+        return 0.0
     dens = float(spec.f_xy(r, u))
     if dens <= 1e-300:
         raise DensityUnderflow(f"joint density underflows at ({r!r}, {u!r})")
@@ -243,13 +250,8 @@ def g_from_joint(spec: JointDensitySpec, h: ScalarFn, r: float, u: float,
     def section(t: np.ndarray) -> np.ndarray:
         return _on_arrays(spec.f_xy, t, np.full_like(t, u))
 
-    if form == "upper":
-        tail = integrate_1d(section, r, b, cfg).value
-        return (float(h(u)) - spec.mu_y) * tail / dens
-    if form == "lower":
-        head = integrate_1d(section, a, r, cfg).value
-        return -(float(h(u)) - spec.mu_y) * head / dens
-    raise DomainError(f"form must be 'upper' or 'lower', got {form!r}")
+    part = integrate_1d(section, lo, hi, cfg).value
+    return sign * (float(h(u)) - spec.mu_y) * part / dens
 
 
 def _check_boundary(grid: _Grid, h_vals: np.ndarray, mu_y: float) -> None:

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from distsim import (
+    DensityOverflow,
     DiscreteApprox,
     DomainError,
     GridTooCoarse,
@@ -119,6 +120,15 @@ class TestNlnDensity:
         assert np.array_equal(nln_density(np.array([-math.inf, math.inf]), comp), [0.0, 0.0])
         with pytest.raises(DomainError):
             nln_density(np.array([0.5, math.nan]), comp)
+
+    def test_peak_beyond_float_range_raises(self):
+        # f(0) = sqrt(k / 2 pi) exp(sigma_y^2 / 2 - mu_y): 0.4 e^684.5 is a float, e^800 is not
+        near = NLNComponent(1, 0.0, 37.0)
+        want = math.exp(0.5 * 37.0 ** 2 + 0.5 * math.log(1.0 / (2.0 * math.pi)))
+        assert nln_density(0.0, near) == pytest.approx(want, rel=1e-12, abs=0.0)
+        for u in (0.0, np.array([0.0, 1.0, 1e6])):
+            with pytest.raises(DensityOverflow):
+                nln_density(u, NLNComponent(1, 0.0, 40.0))
 
     @pytest.mark.parametrize("max_evals", [21, 24 * 21])
     def test_small_budget_raises(self, max_evals):

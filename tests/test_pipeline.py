@@ -465,6 +465,33 @@ class TestThreadDeterminism:
             assert b"projected" in outputs["1"][0]
 
 
+    def test_truncated_run_with_early_stops_identical_at_one_and_two_threads(
+            self, monkeypatch, tmp_path, capsys):
+        # at the default mc_samples most boxes stop before their cap of 12 x 32,768 points
+        paths = []
+        for g in mixed_width_groups(37, widths=(4, 5, 4), t=120):
+            paths.append(tmp_path / f"{g.name}.csv")
+            write_csv(paths[-1], g.data.labels, g.data.values.tolist())
+        original, points = quadrature._box_prob, []
+
+        def recorded(*args):
+            result = original(*args)
+            points.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(quadrature, "_box_prob", recorded)
+        summaries = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DISTSIM_THREADS", threads)
+            out = tmp_path / f"out{threads}"
+            assert main(["compare", *map(str, paths), "--method", "jl", "--k", "3",
+                         "--fit", "truncated", "--seed", "3", "--out", str(out)]) == 0
+            summaries[threads] = (out / "summary.json").read_bytes()
+        capsys.readouterr()
+        assert summaries["1"] == summaries["2"]
+        assert min(points) < 12 * 32_768
+
+
 def counting(monkeypatch, module, names) -> dict:
     """Wrap ``module.<name>`` for each name; returns the live call counts."""
     calls = dict.fromkeys(names, 0)

@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import ndtr
+from scipy.stats import multivariate_normal
 
 from distsim import (
     DomainError,
@@ -13,40 +16,13 @@ from distsim import (
     integrate_1d,
     integrate_2d_mc,
     mvn_rect_prob,
-    std_normal_cdf,
 )
 
-from distsim.quadrature import log_gauss_mass
+from distsim.quadrature import MC_REL_TARGET, log_gauss_mass
 
-from oracles import cdf_series, log_gauss_mass_mp, orthant_bivariate, quad_ref
+from oracles import log_gauss_mass_mp, orthant_bivariate, quad_ref
 
 CFG = QuadConfig(seed=123)
-
-
-class TestStdNormalCdf:
-    def test_center_and_infinities(self):
-        assert std_normal_cdf(0.0) == 0.5
-        assert std_normal_cdf(math.inf) == 1.0
-        assert std_normal_cdf(-math.inf) == 0.0
-
-    def test_quantile_value(self):
-        assert std_normal_cdf(1.959964) == pytest.approx(0.975000, abs=1e-6)
-
-    def test_against_series_oracle(self):
-        xs = np.concatenate([np.linspace(-8, 8, 161), [-20.0, 20.0, 1e-14]])
-        for x in xs:
-            assert std_normal_cdf(float(x)) == pytest.approx(
-                cdf_series(float(x)), abs=1e-12
-            )
-
-    def test_reflection_symmetry(self):
-        xs = np.linspace(-10, 10, 2001)
-        total = std_normal_cdf(xs) + std_normal_cdf(-xs)
-        assert np.max(np.abs(total - 1.0)) <= 1e-14
-
-    def test_monotone(self):
-        xs = np.linspace(-12, 12, 5001)
-        assert np.all(np.diff(std_normal_cdf(xs)) >= 0)
 
 
 class TestIntegrate1d:
@@ -210,7 +186,7 @@ class TestMvnRectProb:
     def test_1d_matches_cdf_difference(self):
         g = GaussianMulti([1.5], [[4.0]])
         r = mvn_rect_prob(g, [-1.0], [2.0], CFG)
-        want = std_normal_cdf((2.0 - 1.5) / 2.0) - std_normal_cdf((-1.0 - 1.5) / 2.0)
+        want = ndtr((2.0 - 1.5) / 2.0) - ndtr((-1.0 - 1.5) / 2.0)
         assert r.value == pytest.approx(want, abs=1e-10)
 
     def test_1d_far_tail_box(self):
@@ -227,12 +203,29 @@ class TestMvnRectProb:
         assert want == pytest.approx(7.7e-20, rel=1e-2)
         assert r.value == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    def test_far_tail_later_coordinate(self):
+        # the same box with its axes swapped: mirrored per sample, the mass does not cancel
+        r = mvn_rect_prob(GaussianMulti([0.0, 0.0], np.eye(2)), [-1.0, 9.0], [1.0, 10.0], CFG)
+        want = math.exp(log_gauss_mass(-1.0, 1.0) + log_gauss_mass(9.0, 10.0))
+        assert r.value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_far_tail_correlated_later_coordinate(self):
+        # corr 0.5: Y given X = x is N(x / 2, 3 / 4), and the box mass is 1.3e-19
+        g = GaussianMulti([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
+        r = mvn_rect_prob(g, [-1.0, 8.0], [1.0, 9.0], CFG)
+        sd = mpmath.sqrt(0.75)
+        want = float(mpmath.quad(lambda x: mpmath.npdf(x) * (
+            mpmath.ncdf((9 - x / 2) / sd) - mpmath.ncdf((8 - x / 2) / sd)), [-1, 0, 1]))
+        assert want == pytest.approx(1.308193e-19, rel=1e-6)
+        assert 0.0 < r.error_estimate <= MC_REL_TARGET * r.value
+        assert abs(r.value - want) <= r.error_estimate
+
     def test_zero_estimate_raises(self):
-        # the same box with its axes swapped: the second coordinate's mass cancels
+        # the mass, about 1e-350, underflows in every sample
         g = GaussianMulti([0.0, 0.0], np.eye(2))
-        assert math.exp(log_gauss_mass(-1.0, 1.0) + log_gauss_mass(9.0, 10.0)) > 0.0
+        assert log_gauss_mass(-1.0, 1.0) + log_gauss_mass(40.0, 41.0) < -745.0
         with pytest.raises(NonConvergence):
-            mvn_rect_prob(g, [-1.0, 9.0], [1.0, 10.0], CFG)
+            mvn_rect_prob(g, [-1.0, 40.0], [1.0, 41.0], CFG)
 
     def test_independent_octant(self):
         g = GaussianMulti(np.zeros(3), np.eye(3))
@@ -257,7 +250,7 @@ class TestMvnRectProb:
         product = 1.0
         for mu, var, lo, hi in [(0, 1, -1, 1), (1, 4, -2, 3), (-1, 0.25, -1.5, 0)]:
             sd = math.sqrt(var)
-            product *= std_normal_cdf((hi - mu) / sd) - std_normal_cdf((lo - mu) / sd)
+            product *= ndtr((hi - mu) / sd) - ndtr((lo - mu) / sd)
         assert abs(r.value - product) <= max(3 * r.error_estimate, 1e-12)
 
     def test_deterministic_given_seed(self):
@@ -272,6 +265,44 @@ class TestMvnRectProb:
             mvn_rect_prob(g, [0.0], [1.0, 2.0], CFG)
         with pytest.raises(DomainError):
             mvn_rect_prob(g, [1.0, 0.0], [0.0, 1.0], CFG)
+
+
+class TestMvnRectProbStopping:
+    """Each replicate's Sobol stream doubles until the 1e-5 relative half-width or the cap."""
+
+    CAP = 12 * 32_768  # the default mc_samples of 200,000, split over 12 replicates
+
+    @staticmethod
+    def box(k):
+        rng = np.random.default_rng(k)
+        a = rng.normal(size=(k, k))
+        cov = a @ a.T / k + 0.5 * np.eye(k)
+        mu = 0.3 * rng.normal(size=k)
+        sd = np.sqrt(np.diag(cov))
+        lower = mu - rng.uniform(0.5, 2.0, k) * sd
+        upper = mu + rng.uniform(0.5, 2.0, k) * sd
+        lower[0] = -math.inf
+        return GaussianMulti(mu, cov), lower, upper
+
+    @pytest.mark.parametrize("k", [3, 6, 10])
+    def test_correlated_against_scipy(self, k):
+        g, lower, upper = self.box(k)
+        r = mvn_rect_prob(g, lower, upper, CFG)
+        want = multivariate_normal.cdf(upper, mean=g.mu, cov=g.cov, lower_limit=lower,
+                                       rng=np.random.default_rng(0))
+        assert abs(r.value - want) <= r.error_estimate + 5e-5
+
+    def test_easy_box_stops_early(self):
+        r = mvn_rect_prob(*self.box(3), CFG)
+        assert r.evaluations < self.CAP
+        assert r.evaluations in [12 * 2 ** m for m in range(10, 15)]
+        assert 0.0 < r.error_estimate <= MC_REL_TARGET * r.value
+
+    def test_hard_box_takes_the_cap(self):
+        # 24,000 samples make a cap of 2,048 points a replicate, reached in two rounds
+        r = mvn_rect_prob(*self.box(6), QuadConfig(seed=123, mc_samples=24_000))
+        assert r.evaluations == 12 * 2048
+        assert r.error_estimate > MC_REL_TARGET * r.value
 
 
 class TestIntegrate2dMc:

@@ -106,6 +106,14 @@ class TestGFromJoint:
             ).value
             assert up == pytest.approx(low, abs=1e-5)
 
+    def test_zero_at_the_closed_edge(self):
+        spec = JointDensitySpec.bivariate_normal(corr=0.6)
+        a, b = spec.support
+        assert b == 10.0
+        assert g_from_joint(spec, IDENTITY, b, 6.0, CFG) == 0.0
+        assert g_from_joint(spec, IDENTITY, a, -6.0, CFG, form="lower") == 0.0
+        assert g_from_joint(spec, IDENTITY, b - 0.5, 6.0, CFG) > 0.0
+
     def test_mean_mismatch_rejected(self):
         spec = JointDensitySpec.bivariate_normal(corr=0.3)
         with pytest.raises(MomentMismatch):
