@@ -11,7 +11,6 @@ from distsim import (
     DiscreteDist,
     GaussianMulti,
     GaussianUni,
-    QuadConfig,
     bc_coefficient_continuous,
     bc_coefficient_discrete,
     bc_mvn,
@@ -58,8 +57,7 @@ print(f"\nN(0,1) vs N(1,1) closed form: D = {closed.distance:.6f}")
 def pdf(mu):
     return lambda x: math.exp(-0.5 * (x - mu) ** 2) / math.sqrt(2 * math.pi)
 
-by_quadrature = bc_coefficient_continuous(pdf(0.0), pdf(1.0),
-                                          (-math.inf, math.inf), QuadConfig())
+by_quadrature = bc_coefficient_continuous(pdf(0.0), pdf(1.0), (-math.inf, math.inf))
 print(f"same through quadrature     : D = {by_quadrature.distance:.6f}")
 print(f"(rho = exp(-1/8)            = {math.exp(-0.125):.6f})")
 

@@ -68,12 +68,10 @@ from .pipeline import (
 from .quadrature import (
     QuadConfig,
     integrate_1d,
-    integrate_2d_mc,
     mvn_rect_prob,
 )
 from .reduce import (
     DistortionReport,
-    JLConfig,
     jl_distortion_report,
     jl_min_dimension,
     jl_project,

@@ -14,7 +14,8 @@ Two families live here:
   which degenerates to the plain ``N(0, 1/k)`` density at ``sigma_Y = 0``.
   :func:`nln_density` takes a scalar or an array ``u`` and evaluates every
   point in one vector-valued adaptive integral, so a grid costs one
-  integral per component.
+  integral per component. Every integral here is an
+  :func:`~distsim.quadrature.integrate_1d` call at its fixed tolerances.
 
 * Discrete approximations that match the first ``2N - 1`` raw moments of a
   target density with ``N`` node/weight pairs, built by turning the moment
@@ -42,7 +43,7 @@ from .errors import (
     MomentMatrixNotPD,
     NonConvergence,
 )
-from .quadrature import DEFAULT_CONFIG, QuadConfig, _on_arrays, integrate_1d
+from .quadrature import _on_arrays, integrate_1d
 
 __all__ = [
     "NLNComponent",
@@ -80,8 +81,11 @@ class NLNComponent:
 
     @property
     def variance(self) -> float:
-        """``Var(X e^Y) = E[e^(2Y)] / k``."""
-        return math.exp(2.0 * self.mu_y + 2.0 * self.sigma_y ** 2) / self.k
+        """``Var(X e^Y) = E[e^(2Y)] / k``; :class:`DensityOverflow` past the float range."""
+        try:
+            return math.exp(2.0 * self.mu_y + 2.0 * self.sigma_y ** 2) / self.k
+        except OverflowError:
+            raise DensityOverflow(f"the variance of {self} exceeds the float range") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,10 +116,6 @@ class GridDensity:
         object.__setattr__(self, "x", _freeze(x))
         object.__setattr__(self, "values", _freeze(v))
 
-    @property
-    def spacing(self) -> float:
-        return float(self.x[1] - self.x[0])
-
     def mass(self) -> float:
         return float(np.trapezoid(self.values, self.x))
 
@@ -129,7 +129,7 @@ def _gaussian_pdf(u: np.ndarray, variance: float) -> np.ndarray:
     return np.exp(-0.5 * u * u / variance) / math.sqrt(2.0 * math.pi * variance)
 
 
-def nln_density(u, comp: NLNComponent, cfg: QuadConfig = DEFAULT_CONFIG):
+def nln_density(u, comp: NLNComponent):
     """Density of ``X exp(Y)`` at ``u``, a scalar or an array; even in ``u``.
 
     Returns a float for a scalar ``u`` and an array of ``u``'s shape
@@ -152,12 +152,11 @@ def nln_density(u, comp: NLNComponent, cfg: QuadConfig = DEFAULT_CONFIG):
     else:
         # |u| = inf becomes the largest float, where the density underflows to 0
         mags = np.minimum(np.abs(arr), np.finfo(float).max).ravel()
-        out = _mixture_integral(mags, comp, cfg).reshape(arr.shape)
+        out = _mixture_integral(mags, comp).reshape(arr.shape)
     return float(out) if out.ndim == 0 else out
 
 
-def _mixture_integral(mags: np.ndarray, comp: NLNComponent,
-                      cfg: QuadConfig) -> np.ndarray:
+def _mixture_integral(mags: np.ndarray, comp: NLNComponent) -> np.ndarray:
     """:func:`nln_density` at finite ``mags >= 0`` for ``sigma_y > 0``.
 
     With ``y = mu_y + sigma_y x`` the exponent of the mixing integrand is
@@ -186,36 +185,40 @@ def _mixture_integral(mags: np.ndarray, comp: NLNComponent,
             bend = np.minimum(np.expm1(-2.0 * sig * v) + 2.0 * sig * v, np.finfo(float).max)
             return np.exp(-0.5 * v * v - (omega / (4.0 * s2)) * bend)
 
-    integral = integrate_1d(scaled, -_MIX_RANGE_SIGMAS, _MIX_RANGE_SIGMAS, cfg).value
+    integral = integrate_1d(scaled, -_MIX_RANGE_SIGMAS, _MIX_RANGE_SIGMAS).value
     return (math.sqrt(k) / (2.0 * math.pi)) * np.exp(-mu - rise) * integral
 
 
 def nln_sum_density(comps: list[NLNComponent],
                     n_points: int = DEFAULT_GRID_POINTS,
-                    span_sigmas: float = DEFAULT_GRID_SPAN,
-                    cfg: QuadConfig = DEFAULT_CONFIG) -> GridDensity:
+                    span_sigmas: float = DEFAULT_GRID_SPAN) -> GridDensity:
     """Density of the sum of independent mixture coordinates on a grid.
 
     Each component is sampled on a common grid spanning ``span_sigmas``
     combined standard deviations and the sum density is built by pairwise
     discrete convolution. Raises :class:`GridTooCoarse` when more than
-    :data:`GRID_MASS_TOL` of probability mass is lost to the grid.
+    :data:`GRID_MASS_TOL` of probability mass is lost to the grid, and
+    :class:`DensityOverflow` when a variance or the grid's span exceeds the
+    float range.
     """
     if not comps:
         raise DomainError("need at least one component")
     if n_points < 16:
         raise DomainError("n_points must be >= 16")
     combined_sd = math.sqrt(sum(c.variance for c in comps))
+    width = 2.0 * span_sigmas * combined_sd
+    if not math.isfinite(width):
+        raise DensityOverflow(f"a grid of {span_sigmas} combined sd exceeds the float range")
     center = n_points // 2
-    h = 2.0 * span_sigmas * combined_sd / (n_points - 1)
+    h = width / (n_points - 1)
     offsets = np.arange(n_points) - center
     xs = offsets * h
     # each density is even: take it once per |x| and index it back onto the grid
     mags, at = np.arange(center + 1) * h, np.abs(offsets)
 
-    dens = nln_density(mags, comps[0], cfg)[at]
+    dens = nln_density(mags, comps[0])[at]
     for comp in comps[1:]:
-        nxt = nln_density(mags, comp, cfg)[at]
+        nxt = nln_density(mags, comp)[at]
         dens = np.convolve(dens, nxt)[center:center + n_points] * h
     return GridDensity(xs, np.maximum(dens, 0.0))
 
@@ -249,11 +252,11 @@ class DiscreteApprox:
         return DiscreteDist(self.weights, tuple(repr(x) for x in self.nodes))
 
 
-def _moments_from_density(f, support, count: int, cfg: QuadConfig) -> np.ndarray:
+def _moments_from_density(f, support, count: int) -> np.ndarray:
     """Raw moments ``m_0 .. m_{count-1}`` of ``f`` on ``support``, as one integral."""
     powers = np.arange(count)
     return integrate_1d(lambda x: x[:, None] ** powers * _on_arrays(f, x)[:, None],
-                        *support, cfg).value
+                        *support).value
 
 
 def _jacobi_from_moments(moms: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -295,8 +298,7 @@ def _jacobi_from_moments(moms: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     return alpha, off
 
 
-def moment_match(target, n_nodes: int,
-                 cfg: QuadConfig = DEFAULT_CONFIG) -> DiscreteApprox:
+def moment_match(target, n_nodes: int) -> DiscreteApprox:
     """Discrete distribution matching the first ``2 n_nodes - 1`` raw moments.
 
     ``target`` is either an explicit moment vector ``m_0 .. m_{2N-1}`` (with
@@ -310,7 +312,7 @@ def moment_match(target, n_nodes: int,
     need = 2 * n_nodes
     if isinstance(target, tuple) and len(target) == 2 and callable(target[0]):
         f, support = target
-        moms = _moments_from_density(f, support, need, cfg)
+        moms = _moments_from_density(f, support, need)
     else:
         moms = np.asarray(target, dtype=float)
         if moms.ndim != 1 or moms.size < need:

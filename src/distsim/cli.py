@@ -44,6 +44,7 @@ from .core import (
 from .divergence import bc_coefficient_discrete
 from .errors import (
     BoundaryConditionViolated,
+    DensityOverflow,
     DensityUnderflow,
     DistsimError,
     DomainError,
@@ -61,7 +62,7 @@ from .stein import (
     verify_stein,
 )
 
-_NUMERICAL_ERRORS = (NonConvergence, GridTooCoarse, DensityUnderflow,
+_NUMERICAL_ERRORS = (NonConvergence, GridTooCoarse, DensityUnderflow, DensityOverflow,
                      BoundaryConditionViolated)
 
 

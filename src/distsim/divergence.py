@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import DiscreteDist, ScalarFn
 from .errors import DimensionMismatch, DomainError, EmptySample, NotADensity
-from .quadrature import DEFAULT_CONFIG, QuadConfig, _on_arrays, integrate_1d
+from .quadrature import _on_arrays, integrate_1d
 
 __all__ = [
     "DivergenceValue",
@@ -163,8 +163,7 @@ def sample_coefficient(counts_p, counts_q) -> float:
     return float(min(np.sqrt((cp / mp) * (cq / mq)).sum(), 1.0))
 
 
-def bc_coefficient_continuous(f: ScalarFn, g: ScalarFn, support,
-                              cfg: QuadConfig = DEFAULT_CONFIG) -> DivergenceValue:
+def bc_coefficient_continuous(f: ScalarFn, g: ScalarFn, support) -> DivergenceValue:
     """Overlap coefficient of two densities by adaptive quadrature.
 
     ``support`` is ``(a, b)`` with either limit possibly infinite. Both
@@ -177,7 +176,7 @@ def bc_coefficient_continuous(f: ScalarFn, g: ScalarFn, support,
         gx = np.maximum(_on_arrays(g, x), 0.0)
         return np.stack([fx, gx, np.sqrt(fx * gx)], axis=1)
 
-    mass_f, mass_g, rho = integrate_1d(parts, *support, cfg).value
+    mass_f, mass_g, rho = integrate_1d(parts, *support).value
     for name, mass in (("f", mass_f), ("g", mass_g)):
         if abs(mass - 1.0) > 1e-6:
             raise NotADensity(f"{name} integrates to {mass!r} over the support, not 1")

@@ -1,23 +1,24 @@
 """Numerical integration primitives.
 
-Four entry points, all pure and reproducible:
+Three entry points, all pure and reproducible:
 
 * :func:`log_gauss_mass` -- log standard normal mass of an interval, from
   ``log_ndtr`` in its own tail; every univariate normal mass is taken here.
 * :func:`integrate_1d` -- adaptive Gauss-Kronrod quadrature (the QUADPACK
   ``qk21`` rule, Piessens et al. 1983) of a scalar- or vector-valued
-  integrand on a finite or infinite interval, on panels evaluated as arrays.
+  integrand on a finite or infinite interval, on panels evaluated as arrays,
+  to the module tolerances :data:`ABS_TOL` and :data:`REL_TOL` within
+  :data:`MAX_EVALS` nodes.
 * :func:`mvn_rect_prob` -- multivariate normal probability of a box, via the
   separation-of-variables transform (Cholesky factor plus sequential
   conditioning) sampled with scrambled Sobol points until the 99% half-width
   over independent randomized replicates is within :data:`MC_REL_TARGET`
   of the value, or the sample budget is spent.
-* :func:`integrate_2d_mc` -- plain Monte Carlo over a finite rectangle with
-  a three-standard-error estimate.
 
-Randomized routines derive every replicate stream deterministically from
-``QuadConfig.seed`` (same seed, same bits; replicates could be evaluated in
-parallel without changing results).
+:class:`QuadConfig` holds the seed and sample cap of :func:`mvn_rect_prob`,
+which derives every replicate stream deterministically from its seed (same
+seed, same bits; replicates could be evaluated in parallel without changing
+results).
 
 :func:`mvn_rect_prob` remembers each result per distribution object, keyed
 on the exact bound bytes and the (frozen) ``QuadConfig``, for as long as
@@ -40,11 +41,16 @@ from scipy.special import log_ndtr, ndtr, ndtri
 from scipy.stats import qmc
 from scipy.stats import t as _student_t
 
-from .core import GaussianMulti, ObjectMemo, QuadResult, ScalarFn2
+from .core import GaussianMulti, ObjectMemo, QuadResult
 from .errors import DimensionMismatch, DomainError, NonConvergence, NotPositiveDefinite
 
-__all__ = ["QuadConfig", "log_gauss_mass", "integrate_1d", "mvn_rect_prob",
-           "integrate_2d_mc"]
+__all__ = ["QuadConfig", "log_gauss_mass", "integrate_1d", "mvn_rect_prob"]
+
+#: absolute and relative tolerance of :func:`integrate_1d`.
+ABS_TOL = 1e-9
+REL_TOL = 1e-9
+#: most nodes (abscissae) :func:`integrate_1d` evaluates over all its passes.
+MAX_EVALS = 50_000
 
 #: replicate count for randomized quasi-Monte Carlo error estimation.
 MC_REPLICATES = 12
@@ -83,31 +89,21 @@ _BOX_MEMO = ObjectMemo()
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and budgets for the integration routines.
+    """Sample cap and seed of the box probabilities of :func:`mvn_rect_prob`.
 
-    ``max_evals`` bounds the nodes (abscissae) :func:`integrate_1d` evaluates
-    over all its passes; 21 nodes make one panel, so 21 is the least budget.
-    ``mc_samples`` is the sample count of :func:`integrate_2d_mc`. For
-    :func:`mvn_rect_prob` it is a cap: split over its :data:`MC_REPLICATES`
-    replicates, each share rounded up to a power of two (at least 64), so at
-    most 12 x 32,768 = 393,216 points at the default 200,000. A box stops
-    sampling earlier once its 99% half-width is within :data:`MC_REL_TARGET`
-    (1e-5) of its value.
+    ``mc_samples`` is split over the :data:`MC_REPLICATES` replicates, each
+    share rounded up to a power of two (at least 64), so at most 12 x 32,768
+    = 393,216 points at the default 200,000. A box stops sampling earlier
+    once its 99% half-width is within :data:`MC_REL_TARGET` (1e-5) of its
+    value.
     """
 
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    max_evals: int = 50_000
     mc_samples: int = 200_000
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("tolerances must be > 0")
         if self.mc_samples < 1000:
             raise DomainError("mc_samples must be >= 1000")
-        if self.max_evals < 21:
-            raise DomainError("max_evals must allow at least one panel (>= 21)")
 
 
 DEFAULT_CONFIG = QuadConfig()
@@ -162,8 +158,7 @@ def _finite_range(f: Callable, a: float, b: float) -> tuple[Callable, float, flo
     return mapped, start, 1.0
 
 
-def integrate_1d(f: Callable, a: float, b: float,
-                 cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
+def integrate_1d(f: Callable, a: float, b: float) -> QuadResult:
     """Adaptive quadrature of ``f`` on ``(a, b)``; either limit may be infinite.
 
     ``f`` maps an ``(m,)`` array of abscissae to ``(m,)``, for a float
@@ -171,29 +166,30 @@ def integrate_1d(f: Callable, a: float, b: float,
     only scalars is called point by point. Every entry shares the panels: a
     panel's value is its 21-point Gauss-Kronrod sum and its error the gap to
     the embedded 10-point Gauss sum. The first pass takes ``min(24,
-    max_evals // 21)`` equal panels. Each pass retires the panels within
-    their share (by width) of ``max(abs_tol, rel_tol * |integral|)`` in every
+    MAX_EVALS // 21)`` equal panels. Each pass retires the panels within
+    their share (by width) of ``max(ABS_TOL, REL_TOL * |integral|)`` in every
     entry and bisects the rest, until the summed errors meet that tolerance
     or no panel is left. ``f`` gets one panel first, which shows ``n``, then
     as many as fit in 65,536 entries (512 KB), and at least one.
 
     Returns ``error_estimate`` as the largest summed error and
     ``evaluations`` as the count of nodes. Raises :class:`NonConvergence`
-    when the next pass would take more than ``cfg.max_evals`` nodes.
+    when the next pass would take more than :data:`MAX_EVALS` nodes. The
+    module constants are read at each call.
     """
     if not a < b:
         raise DomainError(f"need a < b, got ({a!r}, {b!r})")
     f, a, b = _finite_range(f, a, b)
     nodes = _GK21_U.size
-    first = min(24, int(cfg.max_evals) // nodes)  # 24 settle NLN in one pass
+    first = min(24, MAX_EVALS // nodes)  # 24 settle NLN in one pass
     lo = a + (b - a) * (np.arange(first) / first)
     width = np.full_like(lo, (b - a) / first)
     total = error = 0.0
     evals, per_call = 0, 1
     while True:
         evals += nodes * lo.size
-        if evals > cfg.max_evals:
-            raise NonConvergence(f"1-D quadrature needs more than {cfg.max_evals} nodes: "
+        if evals > MAX_EVALS:
+            raise NonConvergence(f"1-D quadrature needs more than {MAX_EVALS} nodes: "
                                  f"{lo.size} panels are above tolerance")
         x, parts, s = lo[:, None] + width[:, None] * _GK21_U, [], 0
         while s < lo.size:
@@ -207,7 +203,7 @@ def integrate_1d(f: Callable, a: float, b: float,
         kron = sums[:, 0]
         gap = np.abs(sums[:, 1])
         value = total + np.add.reduce(kron)
-        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
+        tol = np.maximum(ABS_TOL, REL_TOL * np.abs(value))
         bound = error + np.add.reduce(gap)
         if (bound <= tol).all():
             break
@@ -342,23 +338,3 @@ def _conditioned_mass(w: np.ndarray, a: np.ndarray, b: np.ndarray,
             q = ndtri(np.clip(d + w[:, i] * (e - d), tiny, 1.0 - 1e-16))
             y[:, i] = np.where(flip, -q, q)
     return prod
-
-
-def integrate_2d_mc(f: ScalarFn2, box, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
-    """Plain Monte Carlo integral of ``f`` over a finite rectangle.
-
-    ``box`` is ``((x_lo, x_hi), (y_lo, y_hi))``. The estimate is unbiased
-    and ``error_estimate`` is three standard errors of the mean.
-    """
-    (x_lo, x_hi), (y_lo, y_hi) = box
-    if not (np.isfinite([x_lo, x_hi, y_lo, y_hi]).all() and x_lo < x_hi and y_lo < y_hi):
-        raise DomainError("box must be a finite rectangle with lo < hi per axis")
-    n = int(cfg.mc_samples)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    xs = rng.uniform(x_lo, x_hi, n)
-    ys = rng.uniform(y_lo, y_hi, n)
-    vals = _on_arrays(f, xs, ys)
-    area = (x_hi - x_lo) * (y_hi - y_lo)
-    value = float(vals.mean()) * area
-    se = float(vals.std(ddof=1)) * area / math.sqrt(n)
-    return QuadResult(value, 3.0 * se, n)

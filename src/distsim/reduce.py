@@ -27,7 +27,6 @@ from .core import SampleMatrix
 from .errors import DegenerateData, DimensionMismatch, DomainError
 
 __all__ = [
-    "JLConfig",
     "DistortionReport",
     "jl_min_dimension",
     "jl_project",
@@ -48,23 +47,6 @@ def jl_min_dimension(n: int, epsilon: float) -> int:
         raise DomainError(f"epsilon must be in (0, 1), got {epsilon!r}")
     denom = epsilon ** 2 / 2.0 - epsilon ** 3 / 3.0
     return int(math.ceil(4.0 * math.log(n) / denom))
-
-
-@dataclass(frozen=True)
-class JLConfig:
-    """Projection settings; ``k`` defaults to the minimum admissible dimension."""
-
-    n_points: int
-    epsilon: float
-    k: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        k_min = jl_min_dimension(self.n_points, self.epsilon)
-        if self.k is None:
-            object.__setattr__(self, "k", k_min)
-        elif self.k < 1:
-            raise DomainError("k must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,10 @@ and the three equivalent ways of writing the pricing equation
 ``p = E[m x]`` with ``m = c(f)``.
 
 All double integrals run on tensor trapezoid grids; every reported value
-carries an error estimate obtained by halving the grid.
+carries an error estimate obtained by halving the grid. The one-dimensional
+integrals (marginal spot-checks, ``E[h(Y)]``, the overlap coefficient and
+:func:`g_from_joint`) use :func:`~distsim.quadrature.integrate_1d` at its
+fixed tolerances.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .errors import (
     InvalidDistribution,
     MomentMismatch,
 )
-from .quadrature import DEFAULT_CONFIG, QuadConfig, _on_arrays, integrate_1d
+from .quadrature import _on_arrays, integrate_1d
 
 __all__ = [
     "JointDensitySpec",
@@ -204,54 +207,62 @@ def _two_resolution(spec: JointDensitySpec, compute, n: int = GRID_POINTS):
     return fine, err
 
 
-def _marginal_overlap(spec: JointDensitySpec, cfg: QuadConfig) -> float:
+def _marginal_overlap(spec: JointDensitySpec) -> float:
     """Overlap coefficient ``integral sqrt(f_X f_Y)`` of the two marginals."""
     rho = integrate_1d(lambda t: np.sqrt(np.maximum(_on_arrays(spec.f_x, t), 0.0)
                                          * np.maximum(_on_arrays(spec.f_y, t), 0.0)),
-                       *spec.support, cfg).value
+                       *spec.support).value
     return DivergenceValue.from_coefficient(rho).coefficient
 
 
-def _check_mean_h(spec: JointDensitySpec, h: ScalarFn, cfg: QuadConfig) -> None:
+def _check_mean_h(spec: JointDensitySpec, h: ScalarFn) -> None:
     """Raise :class:`MomentMismatch` unless ``E[h(Y)] = mu_Y`` to 1e-4."""
     a, b = spec.support
-    e_h = integrate_1d(lambda y: _on_arrays(h, y) * _on_arrays(spec.f_y, y), a, b, cfg).value
+    e_h = integrate_1d(lambda y: _on_arrays(h, y) * _on_arrays(spec.f_y, y), a, b).value
     if abs(e_h - spec.mu_y) > MOMENT_TOL:
         raise MomentMismatch(
             f"E[h(Y)] = {e_h!r} but mu_Y = {spec.mu_y!r}; the identity assumes equality"
         )
 
 
-def g_from_joint(spec: JointDensitySpec, h: ScalarFn, r: float, u: float,
-                 cfg: QuadConfig = DEFAULT_CONFIG, form: str = "upper") -> float:
-    """The identity kernel ``g(r, u)`` by direct quadrature.
+def g_from_joint(spec: JointDensitySpec, h: ScalarFn, r: float, u,
+                 form: str = "upper"):
+    """The identity kernel ``g(r, u)`` by direct quadrature, ``u`` a scalar or an array.
 
     ``form="upper"`` integrates the joint from ``r`` to the upper edge,
     ``form="lower"`` from the lower edge to ``r`` with the opposite sign.
     The two forms agree once integrated against ``u`` (their pointwise gap
     is ``(h(u) - mu_Y) f_Y(u) / f(r, u)``, which integrates to zero because
-    ``E[h(Y)] = mu_Y``); that mean condition is verified here to 1e-4. At
-    the closed edge the form integrates over (``r = b`` for ``"upper"``,
-    ``r = a`` for ``"lower"``) the kernel is exactly 0.
+    ``E[h(Y)] = mu_Y``); that mean condition is verified here to 1e-4, once
+    per call. At the closed edge the form integrates over (``r = b`` for
+    ``"upper"``, ``r = a`` for ``"lower"``) the kernel is exactly 0.
+
+    Returns a float for a scalar ``u`` and an array of ``u``'s shape
+    otherwise; every entry of ``u`` shares one vector-valued integral.
     """
     a, b = spec.support
     if not a <= r <= b:
         raise DomainError(f"r={r!r} outside the support")
     if form not in ("upper", "lower"):
         raise DomainError(f"form must be 'upper' or 'lower', got {form!r}")
-    _check_mean_h(spec, h, cfg)
+    _check_mean_h(spec, h)
+    us = np.asarray(u, dtype=float)
+    flat = us.ravel()
     lo, hi, sign = (r, b, 1.0) if form == "upper" else (a, r, -1.0)
     if lo == hi:
-        return 0.0
-    dens = float(spec.f_xy(r, u))
-    if dens <= 1e-300:
-        raise DensityUnderflow(f"joint density underflows at ({r!r}, {u!r})")
+        out = np.zeros(us.shape)
+    else:
+        dens = _on_arrays(spec.f_xy, np.full_like(flat, r), flat)
+        if (dens <= 1e-300).any():
+            at = float(flat[dens <= 1e-300][0])
+            raise DensityUnderflow(f"joint density underflows at ({r!r}, {at!r})")
 
-    def section(t: np.ndarray) -> np.ndarray:
-        return _on_arrays(spec.f_xy, t, np.full_like(t, u))
+        def section(t: np.ndarray) -> np.ndarray:
+            return _on_arrays(spec.f_xy, *np.meshgrid(t, flat, indexing="ij"))
 
-    part = integrate_1d(section, lo, hi, cfg).value
-    return sign * (float(h(u)) - spec.mu_y) * part / dens
+        part = integrate_1d(section, lo, hi).value
+        out = (sign * (_on_arrays(h, flat) - spec.mu_y) * part / dens).reshape(us.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def _check_boundary(grid: _Grid, h_vals: np.ndarray, mu_y: float) -> None:
@@ -264,14 +275,14 @@ def _check_boundary(grid: _Grid, h_vals: np.ndarray, mu_y: float) -> None:
 
 
 def verify_stein(spec: JointDensitySpec, c: ScalarFn, c_prime: ScalarFn,
-                 h: ScalarFn, cfg: QuadConfig = DEFAULT_CONFIG) -> IdentityReport:
+                 h: ScalarFn) -> IdentityReport:
     """Check ``Cov[c(X), h(Y)] = E[c'(X) g(X, Y)]`` by double quadrature.
 
     The right side uses the order-interchanged form
     ``integral c'(r) (h(u) - mu_Y) [integral_r^b f(t, u) dt] dr du`` so the
     kernel ``g`` never needs to be formed pointwise.
     """
-    _check_mean_h(spec, h, cfg)
+    _check_mean_h(spec, h)
 
     def sides_on(grid: _Grid) -> np.ndarray:
         c_vals = _on_arrays(c, grid.xs)
@@ -310,9 +321,7 @@ def _ratio_and_derivative(spec: JointDensitySpec):
     return ratio, ratio_prime
 
 
-def verify_distance_covariance(spec: JointDensitySpec,
-                               cfg: QuadConfig = DEFAULT_CONFIG,
-                               h: ScalarFn | None = None,
+def verify_distance_covariance(spec: JointDensitySpec, h: ScalarFn | None = None,
                                ) -> tuple[IdentityReport, IdentityReport]:
     """Check the two covariance/overlap bridge equations.
 
@@ -329,7 +338,7 @@ def verify_distance_covariance(spec: JointDensitySpec,
     if h is None:
         h = lambda u: u  # noqa: E731 - identity default
     ratio, ratio_prime = _ratio_and_derivative(spec)
-    rho = _marginal_overlap(spec, cfg)
+    rho = _marginal_overlap(spec)
 
     def pieces_on(grid: _Grid) -> np.ndarray:
         xs = grid.xs
@@ -361,8 +370,7 @@ def verify_distance_covariance(spec: JointDensitySpec,
     return rep1, rep2
 
 
-def price_asset(spec: JointDensitySpec, c: ScalarFn, c_prime: ScalarFn,
-                cfg: QuadConfig = DEFAULT_CONFIG) -> PriceReport:
+def price_asset(spec: JointDensitySpec, c: ScalarFn, c_prime: ScalarFn) -> PriceReport:
     """Price ``p = E[c(f) x]`` three ways and decompose the restricted case.
 
     The first variable of ``spec`` is the pricing factor ``f``, the second
@@ -399,7 +407,7 @@ def price_asset(spec: JointDensitySpec, c: ScalarFn, c_prime: ScalarFn,
                          e_cr * e_x, cov_fx, e_ratio_x, restricted_direct])
 
     fine, errs = _two_resolution(spec, routes_on)
-    rho = _marginal_overlap(spec, cfg)
+    rho = _marginal_overlap(spec)
 
     routes = (float(fine[0]), float(fine[1]), float(fine[2]))
     max_res = max(abs(routes[0] - routes[1]), abs(routes[0] - routes[2]),

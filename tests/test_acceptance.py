@@ -48,7 +48,6 @@ def random_pd(rng, k, ridge=0.4):
 def test_criterion_01_univariate_closed_form_vs_quadrature():
     started = time.perf_counter()
     rng = np.random.default_rng(101)
-    cfg = ds.QuadConfig(abs_tol=1e-12, rel_tol=1e-12)
     worst = 0.0
     for _ in range(50):
         mu = rng.uniform(-2, 2, 2)
@@ -58,7 +57,7 @@ def test_criterion_01_univariate_closed_form_vs_quadrature():
         rho = ds.bc_coefficient_continuous(
             lambda x: float(normal_pdf(x, mu[0], var[0])),
             lambda x: float(normal_pdf(x, mu[1], var[1])),
-            (-math.inf, math.inf), cfg,
+            (-math.inf, math.inf),
         ).coefficient
         worst = max(worst, abs(closed - (-math.log(rho))))
     _finish(1, "univariate closed form vs quadrature oracle", worst < 1e-7,
@@ -220,8 +219,7 @@ def test_criterion_09_mixture_density():
         for k in (1, 4, 16):
             comp = ds.NLNComponent(k, 0.0, sigma)
             mass = ds.integrate_1d(lambda u: ds.nln_density(u, comp),
-                                   -math.inf, math.inf,
-                                   ds.QuadConfig(abs_tol=1e-8)).value
+                                   -math.inf, math.inf).value
             worst_mass = max(worst_mass, abs(mass - 1.0))
     sup_gap = 0.0
     for k in (1, 4):

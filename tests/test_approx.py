@@ -15,14 +15,13 @@ from distsim import (
     MomentMatrixNotPD,
     NLNComponent,
     NonConvergence,
-    QuadConfig,
     bc_coefficient_discrete,
     integrate_1d,
     moment_match,
     nln_density,
     nln_sum_density,
 )
-from distsim import approx
+from distsim import approx, quadrature
 from distsim.approx import DEFAULT_GRID_SPAN
 
 from oracles import (
@@ -33,8 +32,6 @@ from oracles import (
     nln_density_mp,
     normal_pdf,
 )
-
-CFG = QuadConfig(seed=2)
 
 #: raw moments of the standard normal, m_0..m_5
 STD_NORMAL_MOMENTS = np.array([1.0, 0.0, 1.0, 0.0, 3.0, 0.0])
@@ -131,10 +128,11 @@ class TestNlnDensity:
                 nln_density(u, NLNComponent(1, 0.0, 40.0))
 
     @pytest.mark.parametrize("max_evals", [21, 24 * 21])
-    def test_small_budget_raises(self, max_evals):
+    def test_small_budget_raises(self, max_evals, monkeypatch):
         # the least budget, and one that allows only the first pass
+        monkeypatch.setattr(quadrature, "MAX_EVALS", max_evals)
         with pytest.raises(NonConvergence):
-            nln_density(100.0, NLNComponent(1, 0.0, 2.0), QuadConfig(max_evals=max_evals))
+            nln_density(100.0, NLNComponent(1, 0.0, 2.0))
 
     @pytest.mark.parametrize("sigma", [0.5, 20.0, 36.0])
     def test_zero_against_closed_form(self, sigma):
@@ -144,10 +142,11 @@ class TestNlnDensity:
         want = math.sqrt(comp.k / (2 * math.pi)) * math.exp(0.5 * sigma * sigma - comp.mu_y)
         assert nln_density(0.0, comp) == pytest.approx(want, rel=1e-13, abs=0.0)
 
-    def test_budget_below_first_full_pass(self):
+    def test_budget_below_first_full_pass(self, monkeypatch):
         # 168 nodes make 8 panels, enough for a mixing width of 1e-3
+        monkeypatch.setattr(quadrature, "MAX_EVALS", 168)
         comp = NLNComponent(2, 0.1, 1e-3)
-        got = nln_density([0.0, 0.5, 2.0], comp, QuadConfig(max_evals=168))
+        got = nln_density([0.0, 0.5, 2.0], comp)
         want = [nln_density_mp(u, comp.k, comp.mu_y, comp.sigma_y) for u in (0.0, 0.5, 2.0)]
         assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
@@ -169,8 +168,7 @@ class TestNlnDensity:
             for k in (1, 4, 16):
                 comp = NLNComponent(k, 0.0, sigma)
                 mass = integrate_1d(lambda u: nln_density(u, comp),
-                                    -math.inf, math.inf,
-                                    QuadConfig(abs_tol=1e-8)).value
+                                    -math.inf, math.inf).value
                 assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_small_sigma_approaches_normal(self):
@@ -207,7 +205,7 @@ class TestNlnSumDensity:
     def test_three_mixed_components_match_simulation(self):
         comps = [NLNComponent(3, 0.0, 0.25), NLNComponent(3, 0.2, 0.5),
                  NLNComponent(3, 0.0, 0.0)]
-        grid = nln_sum_density(comps, cfg=CFG)
+        grid = nln_sum_density(comps)
         rng = np.random.default_rng(1)
         n = 10_000_000
         total = np.zeros(n)
@@ -226,15 +224,24 @@ class TestNlnSumDensity:
     def test_one_density_call_per_component(self, monkeypatch):
         calls = []
 
-        def counted(u, comp, cfg=approx.DEFAULT_CONFIG):
+        def counted(u, comp):
             calls.append(np.shape(u))
-            return nln_density(u, comp, cfg)
+            return nln_density(u, comp)
 
         monkeypatch.setattr(approx, "nln_density", counted)
         comps = [NLNComponent(3, 0.0, 0.25), NLNComponent(3, 0.2, 0.5),
                  NLNComponent(3, 0.0, 0.0)]
         nln_sum_density(comps, n_points=1024)
         assert calls == [(513,)] * 3
+
+    @pytest.mark.parametrize("comps, span", [
+        ([NLNComponent(1, 0.0, 20.0)], DEFAULT_GRID_SPAN),  # variance e^800
+        ([NLNComponent(1, 1.3, 18.8)] * 2, DEFAULT_GRID_SPAN),  # 2 e^709.48
+        ([NLNComponent(1, 0.0, 18.8)], 1e200),  # sd e^353.4 times the span
+    ], ids=["variance", "combined-variance", "span"])
+    def test_out_of_float_range_raises(self, comps, span):
+        with pytest.raises(DensityOverflow):
+            nln_sum_density(comps, n_points=16, span_sigmas=span)
 
     def test_too_coarse_grid_rejected(self):
         comp = NLNComponent(1, 0.0, 0.0)

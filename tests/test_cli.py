@@ -158,6 +158,11 @@ class TestApprox:
         assert np.max(np.abs(grid[:, 1] - want)) < 1e-4
 
 
+    def test_nln_density_out_of_float_range_exits_two(self, tmp_path, capsys):
+        assert main(["approx", "nln-density", "--k", "1", "--mu-y", "0", "--sigma-y", "20",
+                     "--output", str(tmp_path / "g.csv")]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
 class TestVerify:
     @pytest.mark.parametrize("battery", ["stein", "bridge", "pricing"])
     def test_batteries_pass(self, battery, capsys):

@@ -12,7 +12,6 @@ from distsim import (
     DomainError,
     EmptySample,
     NotADensity,
-    QuadConfig,
     bc_coefficient_continuous,
     bc_coefficient_discrete,
     chi_squared_discrete,
@@ -24,8 +23,6 @@ from distsim import (
 )
 
 from oracles import normal_pdf, random_discrete
-
-CFG = QuadConfig(seed=5)
 
 
 def dd(*probs):
@@ -224,25 +221,25 @@ class TestSampleCoefficient:
 
 class TestCoefficientContinuous:
     def test_same_density(self):
-        v = bc_coefficient_continuous(normal_pdf, normal_pdf, (-math.inf, math.inf), CFG)
+        v = bc_coefficient_continuous(normal_pdf, normal_pdf, (-math.inf, math.inf))
         assert v.coefficient == pytest.approx(1.0, abs=1e-9)
 
     def test_shifted_normals(self):
         f = lambda x: normal_pdf(x, 0.0, 1.0)  # noqa: E731
         g = lambda x: normal_pdf(x, 1.0, 1.0)  # noqa: E731
-        v = bc_coefficient_continuous(f, g, (-math.inf, math.inf), CFG)
+        v = bc_coefficient_continuous(f, g, (-math.inf, math.inf))
         assert v.coefficient == pytest.approx(math.exp(-0.125), abs=1e-9)
 
     def test_disjoint_supports(self):
         f = lambda x: 1.0 if 0 <= x <= 1 else 0.0  # noqa: E731
         g = lambda x: 1.0 if 2 <= x <= 3 else 0.0  # noqa: E731
-        v = bc_coefficient_continuous(f, g, (-1.0, 4.0), CFG)
+        v = bc_coefficient_continuous(f, g, (-1.0, 4.0))
         assert v.coefficient == 0.0 and v.distance == math.inf
 
     def test_not_a_density(self):
         with pytest.raises(NotADensity):
             bc_coefficient_continuous(
-                lambda x: 2.0 * normal_pdf(x), normal_pdf, (-math.inf, math.inf), CFG
+                lambda x: 2.0 * normal_pdf(x), normal_pdf, (-math.inf, math.inf)
             )
 
 

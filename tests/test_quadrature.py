@@ -1,5 +1,6 @@
 """Integration primitives against series, closed-form, and grid oracles."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -14,11 +15,11 @@ from distsim import (
     NonConvergence,
     QuadConfig,
     integrate_1d,
-    integrate_2d_mc,
     mvn_rect_prob,
 )
 
-from distsim.quadrature import MC_REL_TARGET, log_gauss_mass
+from distsim import quadrature
+from distsim.quadrature import ABS_TOL, MC_REL_TARGET, REL_TOL, log_gauss_mass
 
 from oracles import log_gauss_mass_mp, orthant_bivariate, quad_ref
 
@@ -27,30 +28,33 @@ CFG = QuadConfig(seed=123)
 
 class TestIntegrate1d:
     def test_polynomial(self):
-        assert integrate_1d(lambda x: x, 0, 1, CFG).value == pytest.approx(0.5, abs=1e-12)
+        assert integrate_1d(lambda x: x, 0, 1).value == pytest.approx(0.5, abs=1e-12)
 
     def test_normal_density_infinite_range(self):
         r = integrate_1d(
             lambda x: math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi),
-            -math.inf, math.inf, CFG,
+            -math.inf, math.inf,
         )
         assert r.value == pytest.approx(1.0, abs=1e-10)
         assert abs(r.value - 1.0) <= max(r.error_estimate, 1e-12)
 
     def test_sine(self):
-        assert integrate_1d(math.sin, 0, math.pi, CFG).value == pytest.approx(2.0, abs=1e-10)
+        assert integrate_1d(math.sin, 0, math.pi).value == pytest.approx(2.0, abs=1e-10)
 
     def test_bad_interval(self):
         with pytest.raises(DomainError):
-            integrate_1d(lambda x: x, 1.0, 0.0, CFG)
+            integrate_1d(lambda x: x, 1.0, 0.0)
 
-    def test_nonconvergence_flagged(self):
-        starved = QuadConfig(abs_tol=1e-13, rel_tol=1e-13, max_evals=42)
+    def test_nonconvergence_flagged(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "ABS_TOL", 1e-13)
+        monkeypatch.setattr(quadrature, "REL_TOL", 1e-13)
+        monkeypatch.setattr(quadrature, "MAX_EVALS", 42)
         with pytest.raises(NonConvergence):
-            integrate_1d(lambda x: abs(math.sin(50 / (x + 0.01))), 0, 1, starved)
+            integrate_1d(lambda x: abs(math.sin(50 / (x + 0.01))), 0, 1)
 
-    def test_least_budget_is_one_exact_panel(self):
-        r = integrate_1d(lambda x: x ** 3 - 2.0 * x, 0.0, 1.0, QuadConfig(max_evals=21))
+    def test_least_budget_is_one_exact_panel(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_EVALS", 21)
+        r = integrate_1d(lambda x: x ** 3 - 2.0 * x, 0.0, 1.0)
         assert r.value == pytest.approx(-0.75, rel=1e-15, abs=0.0)
         assert r.evaluations == 21 and isinstance(r.value, float)
 
@@ -60,7 +64,7 @@ class TestIntegrate1d:
         lambda x: np.exp(-x * x) * np.cos(3.0 * x),
     ], ids=["mixture", "cauchy", "damped-cosine"])
     def test_whole_line_against_reference(self, f):
-        got = integrate_1d(f, -math.inf, math.inf, CFG).value
+        got = integrate_1d(f, -math.inf, math.inf).value
         assert got == pytest.approx(quad_ref(f, -math.inf, math.inf), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("a, b, f, want", [
@@ -74,14 +78,14 @@ class TestIntegrate1d:
          math.sqrt(2 * math.pi) * math.exp(log_gauss_mass_mp(-math.inf, 2.0))),
     ])
     def test_half_lines_against_closed_forms(self, a, b, f, want):
-        assert integrate_1d(f, a, b, CFG).value == pytest.approx(want, rel=1e-9, abs=0.0)
+        assert integrate_1d(f, a, b).value == pytest.approx(want, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("a, b", [(-math.inf, math.inf), (0.5, math.inf), (-math.inf, 0.5)])
     def test_scalar_only_callable(self, a, b):
         def f(x):  # math.exp takes no arrays
             return math.exp(-x * x) * (2.0 if x > 0.5 else 1.0)
 
-        got = integrate_1d(f, a, b, CFG)
+        got = integrate_1d(f, a, b)
         assert isinstance(got.value, float)
         assert got.value == pytest.approx(quad_ref(f, a, b, points=(0.5,)), rel=1e-9, abs=0.0)
 
@@ -91,7 +95,7 @@ class TestIntegrate1d:
             g = ((2.0 <= x) & (x <= 3.0)).astype(float)
             return np.stack([f, g, np.sqrt(f * g)], axis=1)
 
-        r = integrate_1d(boxes, -1.0, 4.0, CFG)
+        r = integrate_1d(boxes, -1.0, 4.0)
         assert np.allclose(r.value, [1.0, 1.0, 0.0], rtol=0.0, atol=1e-9)
         assert r.value[2] == 0.0
 
@@ -101,7 +105,7 @@ class TestIntegrate1d:
     def test_vector_valued_on_infinite_range(self, a, b, left, right):
         powers = np.arange(8)
         r = integrate_1d(lambda x: x[:, None] ** powers * np.exp(-0.5 * x * x)[:, None],
-                         a, b, CFG)
+                         a, b)
         # integral_0^inf x^j exp(-x^2 / 2) dx, and (-1)^j times it on the left
         half = np.array([2.0 ** ((j - 1) / 2) * math.gamma((j + 1) / 2) for j in powers])
         want = right * half + left * (-1.0) ** powers * half
@@ -114,7 +118,7 @@ class TestIntegrate1dVec:
 
     def test_polynomials_exact_in_one_pass(self):
         powers = np.arange(32)
-        r = integrate_1d(lambda x: x[:, None] ** powers, -1.0, 2.0, CFG)
+        r = integrate_1d(lambda x: x[:, None] ** powers, -1.0, 2.0)
         want = (2.0 ** (powers + 1) - (-1.0) ** (powers + 1)) / (powers + 1)
         assert np.allclose(r.value, want, rtol=1e-13, atol=0.0)
         assert r.evaluations == 24 * 21
@@ -125,9 +129,9 @@ class TestIntegrate1dVec:
         def peaks(x):
             return np.exp(-0.5 * ((x[:, None] - centers) / 0.01) ** 2)
 
-        r = integrate_1d(peaks, -5.0, 5.0, CFG)
+        r = integrate_1d(peaks, -5.0, 5.0)
         assert np.allclose(r.value, 0.01 * math.sqrt(2 * math.pi), rtol=1e-12, atol=0.0)
-        assert r.error_estimate <= max(CFG.abs_tol, CFG.rel_tol * r.value.max())
+        assert r.error_estimate <= max(ABS_TOL, REL_TOL * r.value.max())
         assert r.evaluations > 24 * 21
 
     def test_calls_stay_within_chunk(self):
@@ -138,27 +142,28 @@ class TestIntegrate1dVec:
             shapes.append(x.size * scales.size)
             return np.exp(-scales * x[:, None] ** 2)
 
-        r = integrate_1d(gaussians, -12.0, 12.0, CFG)
+        r = integrate_1d(gaussians, -12.0, 12.0)
         assert shapes[0] == 21 * scales.size
         assert max(shapes) == 3 * 21 * scales.size
         assert np.allclose(r.value, np.sqrt(np.pi / scales), rtol=1e-13, atol=0.0)
 
-    def test_budget_exhausted_raises(self):
+    def test_budget_exhausted_raises(self, monkeypatch):
         def wiggle(x):
             return np.abs(np.sin(50 / (x[:, None] + 0.01)))
 
         for budget in (21, 2000):
+            monkeypatch.setattr(quadrature, "MAX_EVALS", budget)
             with pytest.raises(NonConvergence):
-                integrate_1d(wiggle, 0.0, 1.0, QuadConfig(max_evals=budget))
+                integrate_1d(wiggle, 0.0, 1.0)
 
     @pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, 0.0), (math.inf, math.inf),
                                       (math.nan, 1.0)])
     def test_bad_interval(self, a, b):
         with pytest.raises(DomainError):
-            integrate_1d(lambda x: x[:, None], a, b, CFG)
+            integrate_1d(lambda x: x[:, None], a, b)
 
     def test_no_entries(self):
-        r = integrate_1d(lambda x: np.empty((x.size, 0)), 0.0, 1.0, CFG)
+        r = integrate_1d(lambda x: np.empty((x.size, 0)), 0.0, 1.0)
         assert r.value.shape == (0,) and r.error_estimate == 0.0
 
 
@@ -305,37 +310,8 @@ class TestMvnRectProbStopping:
         assert r.error_estimate > MC_REL_TARGET * r.value
 
 
-class TestIntegrate2dMc:
-    def test_constant(self):
-        r = integrate_2d_mc(lambda x, y: np.ones_like(x), ((0, 1), (0, 1)), CFG)
-        assert r.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_product(self):
-        r = integrate_2d_mc(lambda x, y: x * y, ((0, 1), (0, 1)), CFG)
-        assert abs(r.value - 0.25) <= r.error_estimate
-
-    def test_normal_mass(self):
-        def density(x, y):
-            return np.exp(-0.5 * (x * x + y * y)) / (2 * math.pi)
-
-        r = integrate_2d_mc(density, ((-8, 8), (-8, 8)), CFG)
-        assert abs(r.value - 1.0) <= r.error_estimate
-
-    def test_deterministic(self):
-        f = lambda x, y: x + y  # noqa: E731
-        a = integrate_2d_mc(f, ((0, 2), (0, 3)), QuadConfig(seed=4))
-        b = integrate_2d_mc(f, ((0, 2), (0, 3)), QuadConfig(seed=4))
-        assert a.value == b.value
-
-    def test_scalar_only_callable_supported(self):
-        r = integrate_2d_mc(lambda x, y: float(x) * float(y), ((0, 1), (0, 1)),
-                            QuadConfig(seed=1, mc_samples=2000))
-        assert abs(r.value - 0.25) <= r.error_estimate
-
-
 class TestQuadConfig:
     def test_field_validation(self):
-        with pytest.raises(DomainError):
-            QuadConfig(abs_tol=0.0)
+        assert [f.name for f in dataclasses.fields(QuadConfig)] == ["mc_samples", "seed"]
         with pytest.raises(DomainError):
             QuadConfig(mc_samples=10)

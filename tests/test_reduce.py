@@ -9,7 +9,6 @@ from distsim import (
     DegenerateData,
     DimensionMismatch,
     DomainError,
-    JLConfig,
     SampleMatrix,
     jl_distortion_report,
     jl_min_dimension,
@@ -111,15 +110,6 @@ class TestDistortionReport:
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
         rep = jl_distortion_report(x, x, 0.1)
         assert rep.pair_count == 2
-
-
-class TestJLConfig:
-    def test_auto_k(self):
-        cfg = JLConfig(n_points=566, epsilon=0.5)
-        assert cfg.k == 305
-
-    def test_explicit_k_kept(self):
-        assert JLConfig(n_points=100, epsilon=0.3, k=12).k == 12
 
 
 class TestPcaReduce:

@@ -11,17 +11,15 @@ from distsim import (
     InvalidDistribution,
     JointDensitySpec,
     MomentMismatch,
-    QuadConfig,
     g_from_joint,
     integrate_1d,
     price_asset,
     verify_distance_covariance,
     verify_stein,
 )
+from distsim import stein
 
 from oracles import normal_pdf, quad_ref
-
-CFG = QuadConfig(seed=8)
 
 IDENTITY = lambda u: u  # noqa: E731
 ONES = lambda t: np.ones_like(np.asarray(t, dtype=float))  # noqa: E731
@@ -62,7 +60,7 @@ class TestGFromJoint:
     def test_independent_factorization(self):
         spec = JointDensitySpec.bivariate_normal(corr=0.0)
         for r, u in ((0.0, 1.0), (0.5, -0.7), (-1.0, 0.3)):
-            got = g_from_joint(spec, IDENTITY, r, u, CFG)
+            got = g_from_joint(spec, IDENTITY, r, u)
             # (u - mu_Y) (1 - F_X(r)) / f_X(r)
             tail = quad_ref(normal_pdf, r, 10.0)
             want = u * tail / float(normal_pdf(r))
@@ -75,7 +73,7 @@ class TestGFromJoint:
         for r in rs:
             ts = np.linspace(r, spec.support[1], 40_001)
             for u in us:
-                got = g_from_joint(spec, IDENTITY, float(r), float(u), CFG)
+                got = g_from_joint(spec, IDENTITY, float(r), float(u))
                 dens = np.asarray(spec.f_xy(ts, np.full_like(ts, u)))
                 want = float(u * np.trapezoid(dens, ts) / spec.f_xy(r, u))
                 assert got == pytest.approx(want, abs=2e-6)
@@ -84,8 +82,8 @@ class TestGFromJoint:
         # the two integral forms differ by (h(u)-mu_Y) f_Y(u) / f(r,u)
         spec = JointDensitySpec.bivariate_normal(corr=0.5)
         for r, u in ((0.3, 0.7), (-0.5, 1.2), (0.0, -0.4)):
-            upper = g_from_joint(spec, IDENTITY, r, u, CFG)
-            lower = g_from_joint(spec, IDENTITY, r, u, CFG, form="lower")
+            upper = g_from_joint(spec, IDENTITY, r, u)
+            lower = g_from_joint(spec, IDENTITY, r, u, form="lower")
             gap = u * float(spec.f_y(u)) / float(spec.f_xy(r, u))
             assert upper - lower == pytest.approx(gap, abs=1e-7)
 
@@ -94,56 +92,72 @@ class TestGFromJoint:
         spec = JointDensitySpec.bivariate_normal(corr=0.6)
         a, b = spec.support
         for r in (-0.5, 0.2):
-            up = integrate_1d(
-                lambda u: float(spec.f_xy(r, u))
-                * g_from_joint(spec, IDENTITY, r, u, CFG),
-                a, b, QuadConfig(abs_tol=1e-6, max_evals=200_000),
-            ).value
-            low = integrate_1d(
-                lambda u: float(spec.f_xy(r, u))
-                * g_from_joint(spec, IDENTITY, r, u, CFG, form="lower"),
-                a, b, QuadConfig(abs_tol=1e-6, max_evals=200_000),
-            ).value
-            assert up == pytest.approx(low, abs=1e-5)
+            up, low = (integrate_1d(
+                lambda u: spec.f_xy(r, u) * g_from_joint(spec, IDENTITY, r, u, form=form),
+                a, b).value for form in ("upper", "lower"))
+            assert up == pytest.approx(low, abs=1e-10)
+
+    def test_array_matches_scalar_calls(self):
+        spec = JointDensitySpec.bivariate_normal(corr=0.5)
+        us = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+        for form in ("upper", "lower"):
+            got = g_from_joint(spec, IDENTITY, 0.3, us, form=form)
+            want = [g_from_joint(spec, IDENTITY, 0.3, float(u), form=form) for u in us.ravel()]
+            assert got.shape == us.shape
+            assert np.allclose(got.ravel(), want, rtol=1e-14, atol=0.0)
+        assert isinstance(g_from_joint(spec, IDENTITY, 0.3, 0.5), float)
+        assert np.array_equal(g_from_joint(spec, IDENTITY, spec.support[1], us), np.zeros((3, 4)))
+
+    def test_one_mean_check_and_one_section_integral_per_call(self, monkeypatch):
+        spec = JointDensitySpec.bivariate_normal(corr=0.6)
+        calls = []
+
+        def counted(f, a, b):
+            calls.append((a, b))
+            return integrate_1d(f, a, b)
+
+        monkeypatch.setattr(stein, "integrate_1d", counted)
+        g_from_joint(spec, IDENTITY, 0.2, np.linspace(-3.0, 3.0, 50))
+        assert calls == [spec.support, (0.2, spec.support[1])]
 
     def test_zero_at_the_closed_edge(self):
         spec = JointDensitySpec.bivariate_normal(corr=0.6)
         a, b = spec.support
         assert b == 10.0
-        assert g_from_joint(spec, IDENTITY, b, 6.0, CFG) == 0.0
-        assert g_from_joint(spec, IDENTITY, a, -6.0, CFG, form="lower") == 0.0
-        assert g_from_joint(spec, IDENTITY, b - 0.5, 6.0, CFG) > 0.0
+        assert g_from_joint(spec, IDENTITY, b, 6.0) == 0.0
+        assert g_from_joint(spec, IDENTITY, a, -6.0, form="lower") == 0.0
+        assert g_from_joint(spec, IDENTITY, b - 0.5, 6.0) > 0.0
 
     def test_mean_mismatch_rejected(self):
         spec = JointDensitySpec.bivariate_normal(corr=0.3)
         with pytest.raises(MomentMismatch):
-            g_from_joint(spec, lambda u: u + 1.0, 0.0, 0.0, CFG)
+            g_from_joint(spec, lambda u: u + 1.0, 0.0, 0.0)
 
 
 class TestVerifyStein:
     def test_classical_linear_case(self):
         spec = JointDensitySpec.bivariate_normal(corr=0.6)
-        rep = verify_stein(spec, IDENTITY, ONES, IDENTITY, CFG)
+        rep = verify_stein(spec, IDENTITY, ONES, IDENTITY)
         assert rep.lhs == pytest.approx(0.6, abs=1e-3)
         assert rep.rhs == pytest.approx(0.6, abs=1e-3)
         assert rep.residual <= bound(rep)
 
     def test_quadratic_gives_zero_covariance(self):
         spec = JointDensitySpec.bivariate_normal(corr=0.6)
-        rep = verify_stein(spec, lambda t: t * t, lambda t: 2.0 * t, IDENTITY, CFG)
+        rep = verify_stein(spec, lambda t: t * t, lambda t: 2.0 * t, IDENTITY)
         assert abs(rep.lhs) <= 1e-3
         assert rep.residual <= bound(rep)
 
     def test_independent_pair_vanishes(self):
         spec = JointDensitySpec.bivariate_normal(corr=0.0)
         rep = verify_stein(spec, lambda t: t ** 3, lambda t: 3.0 * t * t,
-                           IDENTITY, CFG)
+                           IDENTITY)
         assert abs(rep.lhs) <= 1e-6 and abs(rep.rhs) <= 1e-6
 
     def test_nonlinear_h(self):
         # h(u) = u^3 / 3 has E[h(Y)] = 0 = mu_Y for a centered normal
         spec = JointDensitySpec.bivariate_normal(corr=0.5)
-        rep = verify_stein(spec, IDENTITY, ONES, lambda u: u ** 3 / 3.0, CFG)
+        rep = verify_stein(spec, IDENTITY, ONES, lambda u: u ** 3 / 3.0)
         assert rep.residual <= bound(rep)
 
     def test_battery_of_random_specs(self):
@@ -157,7 +171,7 @@ class TestVerifyStein:
             corr = float(rng.uniform(-0.85, 0.85))
             c, cp = cs[int(rng.integers(len(cs)))]
             spec = JointDensitySpec.bivariate_normal(corr=corr)
-            rep = verify_stein(spec, c, cp, IDENTITY, CFG)
+            rep = verify_stein(spec, c, cp, IDENTITY)
             assert rep.residual <= bound(rep)
 
     def test_boundary_violation_detected(self):
@@ -167,19 +181,19 @@ class TestVerifyStein:
                                      1.0, 0.0)
         spec = JointDensitySpec.independent(uniform, uniform, (0.0, 1.0), 0.5, 0.5)
         with pytest.raises(BoundaryConditionViolated):
-            verify_stein(spec, IDENTITY, ONES, IDENTITY, CFG)
+            verify_stein(spec, IDENTITY, ONES, IDENTITY)
 
     def test_mean_mismatch_rejected(self):
         spec = JointDensitySpec.bivariate_normal(corr=0.2)
         with pytest.raises(MomentMismatch):
-            verify_stein(spec, IDENTITY, ONES, lambda u: u + 0.5, CFG)
+            verify_stein(spec, IDENTITY, ONES, lambda u: u + 0.5)
 
 
 class TestBridge:
     def test_equal_marginals_both_sides_equal_correlation(self):
         for corr in (0.25, 0.5, -0.4):
             spec = JointDensitySpec.bivariate_normal(corr=corr)
-            rep1, rep2 = verify_distance_covariance(spec, CFG)
+            rep1, rep2 = verify_distance_covariance(spec)
             # f_X = f_Y: rho = 1, c(t) = t - 1, both equations reduce to corr
             assert rep1.lhs == pytest.approx(corr, abs=1e-3)
             assert rep1.rhs == pytest.approx(corr, abs=1e-3)
@@ -189,19 +203,19 @@ class TestBridge:
 
     def test_shifted_marginals(self):
         spec = JointDensitySpec.bivariate_normal(mu_y=1.0, corr=0.5)
-        rep1, rep2 = verify_distance_covariance(spec, CFG)
+        rep1, rep2 = verify_distance_covariance(spec)
         assert rep1.residual <= bound(rep1)
         assert rep2.residual <= bound(rep2)
 
     def test_independent_equal_marginals_collapse_to_zero(self):
         spec = JointDensitySpec.bivariate_normal(corr=0.0)
-        rep1, _ = verify_distance_covariance(spec, CFG)
+        rep1, _ = verify_distance_covariance(spec)
         assert abs(rep1.lhs) <= 1e-6
         assert abs(rep1.rhs) <= 1e-6
 
     def test_h_generalization(self):
         spec = JointDensitySpec.bivariate_normal(corr=0.4)
-        rep1, rep2 = verify_distance_covariance(spec, CFG, h=lambda u: u ** 3 / 3.0)
+        rep1, rep2 = verify_distance_covariance(spec, h=lambda u: u ** 3 / 3.0)
         assert rep1.residual <= bound(rep1)
         assert rep2.residual <= bound(rep2)
 
@@ -211,14 +225,14 @@ class TestPriceAsset:
         spec = JointDensitySpec.bivariate_normal(mu_y=2.0, corr=0.0)
         c = lambda t: 1.0 + 0.5 * t * t  # noqa: E731
         cp = lambda t: 1.0 * t  # noqa: E731
-        rep = price_asset(spec, c, cp, CFG)
+        rep = price_asset(spec, c, cp)
         want = (1.0 + 0.5) * 2.0  # E[c(f)] * E[x]
         for route in rep.routes:
             assert route == pytest.approx(want, abs=1e-6)
 
     def test_linear_discount_prices_covariance(self):
         spec = JointDensitySpec.bivariate_normal(corr=0.9)
-        rep = price_asset(spec, IDENTITY, ONES, CFG)
+        rep = price_asset(spec, IDENTITY, ONES)
         for route in rep.routes:
             assert route == pytest.approx(0.9, abs=1e-3)
         assert rep.max_residual <= max(1e-3, 3 * rep.combined_error)
@@ -226,14 +240,14 @@ class TestPriceAsset:
     def test_constant_discount_kills_derivative_route(self):
         spec = JointDensitySpec.bivariate_normal(mu_y=1.5, corr=0.7)
         rep = price_asset(spec, lambda t: 2.0 + 0.0 * np.asarray(t),
-                          lambda t: 0.0 * np.asarray(t), CFG)
+                          lambda t: 0.0 * np.asarray(t))
         for route in rep.routes:
             assert route == pytest.approx(2.0 * 1.5, abs=1e-6)
 
     def test_restricted_decomposition_reprices(self):
         for corr in (-0.5, 0.0, 0.6):
             spec = JointDensitySpec.bivariate_normal(corr=corr)
-            rep = price_asset(spec, IDENTITY, ONES, CFG)
+            rep = price_asset(spec, IDENTITY, ONES)
             assert rep.restricted_total == pytest.approx(
                 rep.restricted_direct, abs=max(1e-3, 3 * rep.combined_error)
             )
@@ -253,5 +267,5 @@ class TestPriceAsset:
                 t = np.asarray(t, dtype=float)
                 return a1 + 2 * a2 * t + 3 * a3 * t ** 2
 
-            rep = price_asset(spec, c, cp, CFG)
+            rep = price_asset(spec, c, cp)
             assert rep.max_residual <= max(1e-3, 3 * rep.combined_error)
