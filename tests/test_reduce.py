@@ -9,7 +9,10 @@ from distsim import (
     DegenerateData,
     DimensionMismatch,
     DomainError,
+    GroupDataset,
+    RunConfig,
     SampleMatrix,
+    compare_groups,
     jl_distortion_report,
     jl_min_dimension,
     jl_project,
@@ -110,6 +113,28 @@ class TestDistortionReport:
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
         rep = jl_distortion_report(x, x, 0.1)
         assert rep.pair_count == 2
+
+
+class TestJLConfig:
+    """A jl comparison run projects to ``k`` when given, else to the bound for ``epsilon``."""
+
+    @staticmethod
+    def groups(t):
+        rng = np.random.default_rng(21)
+        return [GroupDataset(name, SampleMatrix(rng.standard_normal((t, 4))))
+                for name in ("A", "B")]
+
+    def test_auto_k(self):
+        res = compare_groups(self.groups(566), RunConfig(
+            method="jl", epsilon=0.5, fit="mvn", shrinkage=0.1))
+        assert "projection dimension 305 derived from epsilon=0.5" in res.notes
+
+    def test_explicit_k_kept(self):
+        groups = self.groups(100)
+        both = compare_groups(groups, RunConfig(method="jl", epsilon=0.3, k=12, fit="mvn"))
+        k_only = compare_groups(groups, RunConfig(method="jl", k=12, fit="mvn"))
+        assert not any("derived from epsilon" in n for n in both.notes)
+        assert np.array_equal(both.matrices[0].values, k_only.matrices[0].values)
 
 
 class TestPcaReduce:
