@@ -140,16 +140,17 @@ def _cmd_compare(args) -> int:
     ]
     result = compare_groups(groups, cfg)
 
+    text = json.dumps(result.to_dict(), indent=2, allow_nan=False)
     out_dir = args.out or cfg.out_dir
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for i, mat in enumerate(result.matrices):
             mat.to_csv(out / f"matrix_iter{i}.csv")
-        (out / "summary.json").write_text(json.dumps(result.to_dict(), indent=2) + "\n")
+        (out / "summary.json").write_text(text + "\n")
         print(f"wrote {len(result.matrices)} matrices and summary.json to {out}")
     else:
-        print(json.dumps(result.to_dict(), indent=2))
+        print(text)
     return 0
 
 

@@ -245,11 +245,6 @@ class GaussianUni(_Distribution):
         """Standard deviation (square root of the stored variance)."""
         return math.sqrt(self.sigma2)
 
-    def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        z = (x - self.mu) / self.sigma
-        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
-
 
 def _check_cov(cov: np.ndarray) -> str | None:
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -264,9 +259,19 @@ def _check_cov(cov: np.ndarray) -> str | None:
     return None
 
 
+def log_det_condition(cov: np.ndarray) -> tuple[float, float]:
+    """``(log det, condition)`` of symmetric ``cov``; ``(nan, inf)`` if not positive definite."""
+    vals = np.linalg.eigvalsh(cov)
+    lo, hi = float(vals.min()), float(vals.max())
+    return (float(np.log(vals).sum()), hi / lo) if lo > 0 else (math.nan, math.inf)
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianMulti(_Distribution):
-    """Multivariate normal with mean vector and positive definite covariance."""
+    """Multivariate normal with mean vector and positive definite covariance.
+
+    ``log_det`` and ``condition`` (:func:`log_det_condition`) are set when built, not fields.
+    """
 
     mu: np.ndarray
     cov: np.ndarray
@@ -284,17 +289,15 @@ class GaussianMulti(_Distribution):
             return "mu and cov dimensions do not match"
         return None
 
+    def __post_init__(self):
+        super().__post_init__()
+        log_det, condition = log_det_condition(self.cov)
+        object.__setattr__(self, "log_det", log_det)
+        object.__setattr__(self, "condition", condition)
+
     @property
     def k(self) -> int:
         return int(self.mu.size)
-
-    def pdf(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        d = x - self.mu
-        sol = np.linalg.solve(self.cov, d)
-        logdet = float(np.sum(np.log(np.linalg.eigvalsh(self.cov))))
-        q = float(d @ sol)
-        return math.exp(-0.5 * (q + logdet + self.k * math.log(2.0 * math.pi)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,7 +363,7 @@ class TruncGaussianMulti(_Distribution):
 
     def __post_init__(self):
         super().__post_init__()
-        # built once, so every pair sees the same object and its memoised terms
+        # built once, so every pair sees the same object and its remembered box normaliser
         object.__setattr__(self, "_parent", GaussianMulti(self.mu, self.cov))
 
     @property
@@ -418,8 +421,7 @@ class MvnOverlapParams:
         if self.M < 0:
             raise InvalidDistribution("M must be >= 0")
         for name in ("l", "u", "m", "S"):
-            object.__setattr__(self, name,
-                               _freeze(np.asarray(getattr(self, name), dtype=float)))
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
         object.__setattr__(self, "M", float(self.M))
 
 

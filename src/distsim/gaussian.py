@@ -17,14 +17,12 @@ covariances cannot overflow. Covariances with condition number above 1e12
 are rejected with :class:`NotPositiveDefinite` rather than silently
 regularized (shrinkage belongs to the estimation layer, not here).
 
-Terms that depend on one distribution only are computed once per object
-and remembered while it lives: :func:`bc_mvn` keeps each operand's
-covariance eigenvalues, and a truncated normal's :meth:`parent` is one
-object whose box normaliser :func:`~distsim.quadrature.mvn_rect_prob`
-remembers. A remembered term is the value a recomputation gives, bit for
-bit, so each group's log-determinant and box normaliser cost one
-computation per fit, not one per pair. Only the average covariance's
-eigenvalues and the overlap box stay per pair.
+Terms that depend on one distribution only cost one computation per fit,
+not one per pair: a :class:`~distsim.core.GaussianMulti` carries the
+log-determinant and condition number of its covariance from when it is
+built, and a truncated normal's :meth:`parent` is one object whose box
+normaliser :func:`~distsim.quadrature.mvn_rect_prob` remembers. Only the
+average covariance's eigenvalues and the overlap box stay per pair.
 """
 
 from __future__ import annotations
@@ -38,11 +36,11 @@ from .core import (
     GaussianMulti,
     GaussianUni,
     MvnOverlapParams,
-    ObjectMemo,
     OverlapParams,
     QuadResult,
     TruncGaussianMulti,
     TruncGaussianUni,
+    log_det_condition,
 )
 from .divergence import DivergenceValue
 from .errors import (DimensionMismatch, DomainError, NoSolution,
@@ -72,23 +70,6 @@ MAX_CONDITION = 1e12
 #: scaled mean/variance gap accepted, and Newton step budget.
 _FIT_TOL, _FIT_GAP, _FIT_STEPS = 1e-24, 1e-9, 50
 
-#: covariance eigenvalues per normal object, kept while the object lives.
-_EIGVALS = ObjectMemo()
-
-
-def _log_det(vals: np.ndarray, label: str) -> float:
-    """Sum of the eigenvalue logarithms, after the conditioning check."""
-    if vals.min() <= 0 or vals.max() / vals.min() > MAX_CONDITION:
-        raise NotPositiveDefinite(
-            f"{label} is numerically singular (condition number above {MAX_CONDITION:.0e})"
-        )
-    return float(np.log(vals).sum())
-
-
-def _cov_log_det(dist: GaussianMulti, label: str) -> float:
-    return _log_det(_EIGVALS.get(dist, "cov", lambda: np.linalg.eigvalsh(dist.cov)),
-                    label)
-
 
 def bc_normal_uni(p: GaussianUni, q: GaussianUni) -> DivergenceValue:
     """Distance between two univariate normals.
@@ -106,18 +87,24 @@ def bc_mvn(p: GaussianMulti, q: GaussianMulti) -> DivergenceValue:
 
     ``D = 1/8 d^T S^-1 d + 1/2 ln(det S / sqrt(det Sp det Sq))`` with
     ``S = (Sp + Sq) / 2`` and ``d`` the mean difference; the log-det ratio
-    is evaluated through eigenvalue log-sums. Each operand's eigenvalues
-    are computed once per object; only those of ``S`` are per pair.
+    is evaluated through eigenvalue log-sums. Each operand brings its own
+    ``log_det`` and ``condition``; only the eigenvalues of ``S`` and one
+    solve are per pair.
     """
     if p.k != q.k:
         raise DimensionMismatch(f"dimensions differ: {p.k} vs {q.k}")
     avg = 0.5 * (p.cov + q.cov)
-    log_avg = _log_det(np.linalg.eigvalsh(avg), "average covariance")
-    log_p = _cov_log_det(p, "first covariance")
-    log_q = _cov_log_det(q, "second covariance")
+    log_avg, cond_avg = log_det_condition(avg)
+    for condition, label in ((cond_avg, "average covariance"),
+                             (p.condition, "first covariance"),
+                             (q.condition, "second covariance")):
+        if condition > MAX_CONDITION:
+            raise NotPositiveDefinite(
+                f"{label} is numerically singular (condition number above {MAX_CONDITION:.0e})"
+            )
     d = p.mu - q.mu
     quad = 0.125 * float(d @ np.linalg.solve(avg, d))
-    logdet = 0.5 * (log_avg - 0.5 * (log_p + log_q))
+    logdet = 0.5 * (log_avg - 0.5 * (p.log_det + q.log_det))
     return DivergenceValue.from_distance(quad + logdet)
 
 
@@ -320,9 +307,9 @@ class InequalityCheck:
     """Both sides of the truncation comparison and the resulting verdict.
 
     ``holds`` is True when the truncated distance is at least the
-    untruncated one, equivalent to ``lhs >= rhs``. In the univariate check
-    ``lhs`` and ``rhs`` may underflow to 0 past about 37 standard
-    deviations, so ``holds`` is decided on their logarithms.
+    untruncated one, equivalent to ``lhs >= rhs``. ``lhs`` and ``rhs`` may
+    underflow to 0 far in a tail (past about 37 standard deviations in one
+    dimension), so both checks decide ``holds`` on their logarithms.
     """
 
     lhs: float
@@ -355,6 +342,6 @@ def truncation_inequality_holds_mvn(p: TruncGaussianMulti, q: TruncGaussianMulti
     terms = truncated_mvn_terms(p, q, cfg)
     if terms is None:
         raise DomainError("supports do not overlap; the comparison is undefined")
-    lhs = math.sqrt(terms.prob_p.value * terms.prob_q.value)
+    log_lhs = 0.5 * (math.log(terms.prob_p.value) + math.log(terms.prob_q.value))
     rhs = terms.prob_overlap.value
-    return InequalityCheck(lhs, rhs, lhs >= rhs)
+    return InequalityCheck(math.exp(log_lhs), rhs, log_lhs >= math.log(rhs))

@@ -52,6 +52,7 @@ from .core import (
     SampleMatrix,
     TruncGaussianMulti,
     TruncGaussianUni,
+    _encode,
     read_csv,
 )
 from .divergence import DivergenceValue
@@ -109,8 +110,9 @@ class RunConfig:
     from ``k`` when given, otherwise from the distortion budget ``epsilon``
     and the row count. ``fit`` is one of ``mvn``, ``truncated``,
     ``discrete``; ``bounds`` applies to the truncated fit and is either
-    ``"observed_range"`` or a fixed ``(lower, upper)`` pair. A field whose
-    value is not of its annotated type raises :class:`DomainError`.
+    ``"observed_range"`` or a fixed ``(lower, upper)`` pair (an infinite
+    bound may be ``"-inf"`` or ``"+inf"``). A field whose value is not of
+    its annotated type raises :class:`DomainError`.
     """
 
     method: str = "jl"
@@ -154,13 +156,16 @@ class RunConfig:
             if self.bounds != "observed_range":
                 raise DomainError("bounds must be 'observed_range' or a (lower, upper) pair")
         elif (isinstance(self.bounds, (tuple, list)) and len(self.bounds) == 2
-              and all(isinstance(x, numbers.Real) for x in self.bounds)):
+              and all(isinstance(x, numbers.Real) or x in ("-inf", "+inf") for x in self.bounds)):
             object.__setattr__(self, "bounds", tuple(float(x) for x in self.bounds))
         else:
             raise DomainError(f"bounds must be a (lower, upper) pair, got {self.bounds!r}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        d = asdict(self)
+        if isinstance(self.bounds, tuple):
+            d["bounds"] = _encode(self.bounds)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -197,7 +202,9 @@ class ComparisonResult:
                 {"iteration": i, "matrix": m.to_dict()["matrix"]}
                 for i, m in enumerate(self.matrices)
             ],
-            "pair_summary": self.pair_summary,
+            "pair_summary": {
+                pair: {k: v if math.isfinite(v) else "inf" for k, v in stats.items()}
+                for pair, stats in self.pair_summary.items()},
             "argmin_pairs": [list(p) for p in self.argmin_pairs],
             "notes": list(self.notes),
         }

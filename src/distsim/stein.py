@@ -199,10 +199,10 @@ class _Grid:
         return self.integral2(weight * self.joint)
 
 
-def _two_resolution(spec: JointDensitySpec, compute, n: int = GRID_POINTS):
+def _two_resolution(spec: JointDensitySpec, compute):
     """``compute`` on the fine grid and its distance to the half grid's value."""
-    fine = compute(_Grid(spec, n))
-    coarse = compute(_Grid(spec, n // 2 + 1))
+    fine = compute(_Grid(spec, GRID_POINTS))
+    coarse = compute(_Grid(spec, GRID_POINTS // 2 + 1))
     err = abs(fine - coarse)
     return fine, err
 

@@ -270,6 +270,31 @@ class TestCompare:
         matrix = json.loads((out / "summary.json").read_text())["iterations"][0]["matrix"]
         assert all(isinstance(x, float) and math.isfinite(x) for row in matrix for x in row)
 
+    def test_infinities_written_as_json_strings(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        paths = []
+        for name, shift in (("a", 0.0), ("b", 0.0), ("far", 50.0)):
+            path = tmp_path / f"{name}.csv"
+            SampleMatrix(rng.standard_normal((60, 3)) + shift).to_csv(path)
+            paths.append(str(path))
+
+        def run(tag, *flags):
+            out = tmp_path / tag
+            assert main(["compare", *paths, *flags, "--out", str(out)]) == 0
+            text = (out / "summary.json").read_text()
+            return text, json.loads(text, parse_constant=lambda c: pytest.fail(c))
+
+        flags = ("--method", "jl", "--k", "2", "--fit", "truncated", "--seed", "1")
+        # the far group's observed box is disjoint from the others'
+        _, disjoint = run("disjoint", *flags)
+        assert disjoint["pair_summary"]["a->far"] == {"mean": "inf", "min": "inf", "max": "inf"}
+        text, bounded = run("bounded", *flags, "--bounds=-inf,60")
+        assert bounded["config"]["bounds"] == ["-inf", 60.0]
+        # the written config is a valid --config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bounded["config"]))
+        assert run("again", "--config", str(cfg))[0] == text
+
     def test_names_mismatch_rejected(self, group_csvs, capsys):
         assert main(["compare", *group_csvs, "--method", "jl", "--k", "2",
                      "--names", "a,b", "--seed", "0"]) == 1

@@ -1,5 +1,6 @@
 """Domain type invariants, validation reporting, and serialization."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -72,6 +73,26 @@ class TestGaussianTypes:
         assert "positive definite" in msg
         with pytest.raises(InvalidDistribution):
             GaussianMulti([0.0, 0.0], cov)
+
+    def test_multi_log_det_and_condition_match_numpy(self):
+        rng = np.random.default_rng(12)
+        for k in (*range(1, 13), *range(5, 13)):
+            a = rng.standard_normal((k, k))
+            cov = a @ a.T + 0.1 * np.eye(k)
+            g = GaussianMulti(np.zeros(k), cov)
+            sign, log_det = np.linalg.slogdet(cov)
+            assert sign == 1.0
+            assert g.log_det == pytest.approx(log_det, rel=1e-12)
+            assert g.condition == pytest.approx(np.linalg.cond(cov), rel=1e-12)
+
+    def test_multi_decomposition_is_not_a_field(self):
+        g = GaussianMulti([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]])
+        assert [f.name for f in dataclasses.fields(g)] == ["mu", "cov"]
+        assert set(json.loads(to_json(g))) == {"type", "mu", "cov"}
+        back = from_json(to_json(g))
+        assert back.log_det == g.log_det and back.condition == g.condition
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.log_det = 0.0
 
     def test_multi_asymmetric_rejected(self):
         cov = np.array([[1.0, 0.3], [0.1, 1.0]])

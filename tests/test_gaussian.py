@@ -26,6 +26,7 @@ from distsim import (
     truncation_inequality_holds_uni,
 )
 from distsim.gaussian import fit_truncated_normal, truncated_moments, truncated_mvn_terms
+from distsim.quadrature import log_gauss_mass
 
 from oracles import (
     bc_coefficient_mc_mvn,
@@ -288,7 +289,7 @@ def copy_trunc(t: TruncGaussianMulti) -> TruncGaussianMulti:
 
 
 class TestPairInvariantMemo:
-    """Per-object terms are remembered, and a remembered term keeps the bits."""
+    """Per-object terms are computed once per object, with the bits a recomputation gives."""
 
     @staticmethod
     def truncated_fits(seed, count=3, k=3):
@@ -323,10 +324,20 @@ class TestPairInvariantMemo:
                  for a, b in pairs]
         assert first == again == fresh
 
+    def test_first_pair_decomposes_only_the_average(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        p, q = (GaussianMulti(rng.uniform(-1, 1, 4), random_pd(rng, 4)) for _ in range(2))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        bc_mvn(p, q)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], 0.5 * (p.cov + q.cov))
+
     def test_conditioning_label_follows_operand_position(self):
         bad = GaussianMulti([0, 0], np.diag([1.0, 1e-13]))
         good = GaussianMulti([0, 0], np.eye(2))
-        for _ in range(2):  # the second round reads remembered eigenvalues
+        for _ in range(2):  # twice: a normal takes the label of its position each time
             with pytest.raises(NotPositiveDefinite, match="first covariance"):
                 bc_mvn(bad, good)
             with pytest.raises(NotPositiveDefinite, match="second covariance"):
@@ -433,6 +444,18 @@ class TestTruncationInequality:
             d_tmn = bc_truncated_mvn(p, q, CFG).distance
             d_mn = bc_mvn(p.parent(), q.parent()).distance
             assert chk.holds == (d_tmn >= d_mn)
+
+    def test_mvn_verdict_past_underflow(self):
+        # at 26 sigma sqrt(P_p P_q) underflows to 0 when formed as a product
+        p = TruncGaussianMulti([0, 0], np.eye(2), [26, 26], [27, 27])
+        q = TruncGaussianMulti([0, 0], 1.2 * np.eye(2), [26, 26], [27, 27])
+        chk = truncation_inequality_holds_mvn(p, q, CFG)
+        assert chk.holds
+        assert bc_truncated_mvn(p, q, CFG).distance >= bc_mvn(p.parent(), q.parent()).distance
+        # diagonal covariances: each box mass is a product of exact interval masses
+        log_p = 2 * log_gauss_mass(26.0, 27.0)
+        log_q = 2 * log_gauss_mass(26.0 / math.sqrt(1.2), 27.0 / math.sqrt(1.2))
+        assert chk.lhs == pytest.approx(math.exp(0.5 * (log_p + log_q)), rel=1e-12)
 
     def test_mvn_dimension_mismatch(self):
         p = TruncGaussianMulti([0, 0], np.eye(2), [-1, -1], [1, 1])
