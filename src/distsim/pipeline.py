@@ -156,7 +156,8 @@ class RunConfig:
             if self.bounds != "observed_range":
                 raise DomainError("bounds must be 'observed_range' or a (lower, upper) pair")
         elif (isinstance(self.bounds, (tuple, list)) and len(self.bounds) == 2
-              and all(isinstance(x, numbers.Real) or x in ("-inf", "+inf") for x in self.bounds)):
+              and all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                      or x in ("-inf", "+inf") for x in self.bounds)):
             object.__setattr__(self, "bounds", tuple(float(x) for x in self.bounds))
         else:
             raise DomainError(f"bounds must be a (lower, upper) pair, got {self.bounds!r}")

@@ -16,11 +16,11 @@ coefficient of the two marginals (through ``c(t) = t - sqrt(f_Y(t)/f_X(t))``),
 and the three equivalent ways of writing the pricing equation
 ``p = E[m x]`` with ``m = c(f)``.
 
-All double integrals run on tensor trapezoid grids; every reported value
-carries an error estimate obtained by halving the grid. The one-dimensional
-integrals (marginal spot-checks, ``E[h(Y)]``, the overlap coefficient and
-:func:`g_from_joint`) use :func:`~distsim.quadrature.integrate_1d` at its
-fixed tolerances.
+All double integrals are trapezoid bilinear forms on one tensor grid; every
+reported value carries an error estimate from every other node of the same
+grid. The one-dimensional integrals (marginal spot-checks, ``E[h(Y)]``, the
+overlap coefficient and :func:`g_from_joint`) use
+:func:`~distsim.quadrature.integrate_1d` at its fixed tolerances.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ __all__ = [
     "price_asset",
 ]
 
-#: default tensor-grid resolution (error estimated on the half grid).
+#: tensor-grid nodes per axis; odd, so every other node (201 of them) spans the
+#: same box and serves as the half grid of the error estimate.
 GRID_POINTS = 401
 #: tolerance for the marginal spot-checks and the E[h(Y)] verification.
 MOMENT_TOL = 1e-4
@@ -180,31 +181,33 @@ class PriceReport:
 
 
 class _Grid:
-    """Tensor grid with the joint density and reverse cumulative integrals."""
+    """Equal-spaced nodes ``xs`` with trapezoid weights ``w``, the joint on
+    ``xs x xs`` and its reverse cumulative integrals over the first axis."""
 
-    def __init__(self, spec: JointDensitySpec, n: int):
-        a, b = spec.support
-        self.xs = np.linspace(a, b, n)
-        tt, uu = np.meshgrid(self.xs, self.xs, indexing="ij")
-        self.joint = np.maximum(_on_arrays(spec.f_xy, tt, uu), 0.0)
-        cum = cumulative_trapezoid(self.joint, self.xs, axis=0, initial=0.0)
+    def __init__(self, xs: np.ndarray, joint: np.ndarray):
+        self.xs, self.joint = xs, joint
+        self.w = np.full(xs.size, (xs[-1] - xs[0]) / (xs.size - 1))
+        self.w[[0, -1]] /= 2.0
+        cum = cumulative_trapezoid(joint, xs, axis=0, initial=0.0)
         # upper_tail[i, j] = integral of f(t, u_j) for t from xs[i] to b
         self.upper_tail = cum[-1][None, :] - cum
 
-    def integral2(self, weight: np.ndarray) -> float:
-        inner = np.trapezoid(weight, self.xs, axis=1)
-        return float(np.trapezoid(inner, self.xs, axis=0))
+    def expect(self, a, b=1.0) -> float:
+        """``E[a(X) b(Y)]`` from node values; a scalar is a constant function."""
+        return float((a * self.w) @ self.joint @ (b * self.w))
 
-    def expect(self, weight: np.ndarray) -> float:
-        return self.integral2(weight * self.joint)
+    def stein(self, c_prime, h, mu_y: float) -> float:
+        """``integral c'(r) (h(u) - mu_Y) [integral_r^b f(t, u) dt] dr du``."""
+        return float((c_prime * self.w) @ self.upper_tail @ ((h - mu_y) * self.w))
 
 
 def _two_resolution(spec: JointDensitySpec, compute):
-    """``compute`` on the fine grid and its distance to the half grid's value."""
-    fine = compute(_Grid(spec, GRID_POINTS))
-    coarse = compute(_Grid(spec, GRID_POINTS // 2 + 1))
-    err = abs(fine - coarse)
-    return fine, err
+    """``compute`` on one evaluation of the joint, and its distance to the
+    value on every other node of the same grid."""
+    xs = np.linspace(*spec.support, GRID_POINTS)
+    joint = np.maximum(_on_arrays(spec.f_xy, *np.meshgrid(xs, xs, indexing="ij")), 0.0)
+    fine = compute(_Grid(xs, joint))
+    return fine, abs(fine - compute(_Grid(xs[::2], joint[::2, ::2])))
 
 
 def _marginal_overlap(spec: JointDensitySpec) -> float:
@@ -287,13 +290,9 @@ def verify_stein(spec: JointDensitySpec, c: ScalarFn, c_prime: ScalarFn,
     def sides_on(grid: _Grid) -> np.ndarray:
         c_vals = _on_arrays(c, grid.xs)
         h_vals = _on_arrays(h, grid.xs)
-        e_c = grid.expect(c_vals[:, None] * np.ones_like(grid.joint))
-        e_hy = grid.expect(np.ones_like(grid.joint) * h_vals[None, :])
-        lhs = grid.expect(c_vals[:, None] * h_vals[None, :]) - e_c * e_hy
-        cp_vals = _on_arrays(c_prime, grid.xs)
+        lhs = grid.expect(c_vals, h_vals) - grid.expect(c_vals) * grid.expect(1.0, h_vals)
         _check_boundary(grid, h_vals, spec.mu_y)
-        kernel = cp_vals[:, None] * (h_vals[None, :] - spec.mu_y) * grid.upper_tail
-        return np.array([lhs, grid.integral2(kernel)])
+        return np.array([lhs, grid.stein(_on_arrays(c_prime, grid.xs), h_vals, spec.mu_y)])
 
     fine, errs = _two_resolution(spec, sides_on)
     lhs, rhs = float(fine[0]), float(fine[1])
@@ -333,10 +332,12 @@ def verify_distance_covariance(spec: JointDensitySpec, h: ScalarFn | None = None
         Cov(X, h(Y)) + mu_Y * rho = E[c'(X) g(X, Y)]
                                     + E[sqrt(f_Y(X)/f_X(X)) h(Y)]
 
-    ``h`` defaults to the identity. Returns one report per equation.
+    ``h`` defaults to the identity, and ``E[h(Y)] = mu_Y`` is checked as in
+    :func:`verify_stein`. Returns one report per equation.
     """
     if h is None:
         h = lambda u: u  # noqa: E731 - identity default
+    _check_mean_h(spec, h)
     ratio, ratio_prime = _ratio_and_derivative(spec)
     rho = _marginal_overlap(spec)
 
@@ -345,18 +346,11 @@ def verify_distance_covariance(spec: JointDensitySpec, h: ScalarFn | None = None
         h_vals = _on_arrays(h, xs)
         r_vals = ratio(xs)
         c_vals = xs - r_vals
-        cp_vals = 1.0 - ratio_prime(xs)
-        ones = np.ones_like(grid.joint)
-        e_hy = grid.expect(ones * h_vals[None, :])
-        e_x = grid.expect(xs[:, None] * ones)
-        e_c = grid.expect(c_vals[:, None] * ones)
-        cov_c_h = grid.expect(c_vals[:, None] * h_vals[None, :]) - e_c * e_hy
-        cov_x_h = grid.expect(xs[:, None] * h_vals[None, :]) - e_x * e_hy
-        e_ratio_h = grid.expect(r_vals[:, None] * h_vals[None, :])
-        stein_term = grid.integral2(
-            cp_vals[:, None] * (h_vals[None, :] - spec.mu_y) * grid.upper_tail
-        )
-        return np.array([cov_c_h, cov_x_h, e_ratio_h, stein_term])
+        e_hy = grid.expect(1.0, h_vals)
+        cov_c_h = grid.expect(c_vals, h_vals) - grid.expect(c_vals) * e_hy
+        cov_x_h = grid.expect(xs, h_vals) - grid.expect(xs) * e_hy
+        stein_term = grid.stein(1.0 - ratio_prime(xs), h_vals, spec.mu_y)
+        return np.array([cov_c_h, cov_x_h, grid.expect(r_vals, h_vals), stein_term])
 
     fine, errs = _two_resolution(spec, pieces_on)
     cov_c_h, cov_x_h, e_ratio_h, stein_term = fine
@@ -379,32 +373,26 @@ def price_asset(spec: JointDensitySpec, c: ScalarFn, c_prime: ScalarFn) -> Price
     ``E[c'(f) g(f, x)]``. The restricted decomposition uses
     ``m = f - sqrt(f_x(f)/f_f(f))`` (payoff marginal over factor marginal,
     the same ratio the bridge equations use) and splits the price into four
-    terms whose sum must reprice the asset.
+    terms whose sum must reprice the asset. The payoff mean ``E[x]`` must
+    equal ``mu_Y`` to 1e-4, as the derivative route assumes.
     """
+    _check_mean_h(spec, lambda x: x)
     ratio, _ = _ratio_and_derivative(spec)
 
     def routes_on(grid: _Grid) -> np.ndarray:
         xs = grid.xs
         c_vals = _on_arrays(c, xs)
-        cp_vals = _on_arrays(c_prime, xs)
-        ones = np.ones_like(grid.joint)
-        e_c = grid.expect(c_vals[:, None] * ones)
-        e_x = grid.expect(ones * xs[None, :])
-        direct = grid.expect(c_vals[:, None] * xs[None, :])
+        e_c, e_x = grid.expect(c_vals), grid.expect(1.0, xs)
+        direct = grid.expect(c_vals, xs)
         cov = direct - e_c * e_x
         _check_boundary(grid, xs, spec.mu_y)
-        stein_term = grid.integral2(
-            cp_vals[:, None] * (xs[None, :] - spec.mu_y) * grid.upper_tail
-        )
+        stein_term = grid.stein(_on_arrays(c_prime, xs), xs, spec.mu_y)
         r_vals = ratio(xs)
         cr_vals = xs - r_vals
-        e_cr = grid.expect(cr_vals[:, None] * ones)
-        e_f = grid.expect(xs[:, None] * ones)
-        cov_fx = grid.expect(xs[:, None] * xs[None, :]) - e_f * e_x
-        e_ratio_x = grid.expect(r_vals[:, None] * xs[None, :])
-        restricted_direct = grid.expect(cr_vals[:, None] * xs[None, :])
+        cov_fx = grid.expect(xs, xs) - grid.expect(xs) * e_x
         return np.array([direct, e_c * e_x + cov, e_c * e_x + stein_term,
-                         e_cr * e_x, cov_fx, e_ratio_x, restricted_direct])
+                         grid.expect(cr_vals) * e_x, cov_fx, grid.expect(r_vals, xs),
+                         grid.expect(cr_vals, xs)])
 
     fine, errs = _two_resolution(spec, routes_on)
     rho = _marginal_overlap(spec)

@@ -368,6 +368,8 @@ class TestCompareGroupsPca:
         {"method": "pca", "bounds": [1]},
         {"method": "pca", "bounds": [0, "1"]},
         {"method": "pca", "bounds": "full"},
+        {"method": "pca", "fit": "truncated", "bounds": [False, True]},
+        {"method": "pca", "fit": "truncated", "bounds": [0.0, True]},
     ])
     def test_malformed_config_refused(self, config):
         with pytest.raises(DomainError):

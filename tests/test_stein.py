@@ -1,5 +1,6 @@
 """Covariance identities, the overlap bridge, and pricing routes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -189,6 +190,66 @@ class TestVerifyStein:
             verify_stein(spec, IDENTITY, ONES, lambda u: u + 0.5)
 
 
+class TestGrid:
+    """The bilinear forms against nested trapezoid sums of the n x n integrand."""
+
+    def test_forms_match_nested_trapezoid(self):
+        spec = JointDensitySpec.bivariate_normal(corr=0.6)
+        rng = np.random.default_rng(17)
+        xs = np.linspace(*spec.support, stein.GRID_POINTS)
+        joint = spec.f_xy(*np.meshgrid(xs, xs, indexing="ij"))
+        mu = 0.3
+        for nodes, dens in ((xs, joint), (xs[::2], joint[::2, ::2])):
+            grid = stein._Grid(nodes, dens)
+            a, b, cp, h = (np.polynomial.Polynomial(rng.uniform(-1, 1, 4))(nodes)
+                           for _ in range(4))
+            want_e = np.trapezoid(np.trapezoid(a[:, None] * b[None, :] * dens, nodes,
+                                               axis=1), nodes)
+            want_s = np.trapezoid(np.trapezoid(cp[:, None] * (h - mu)[None, :]
+                                               * grid.upper_tail, nodes, axis=1), nodes)
+            assert grid.expect(a, b) == pytest.approx(want_e, rel=1e-12)
+            assert grid.stein(cp, h, mu) == pytest.approx(want_s, rel=1e-12)
+            assert grid.expect(1.0) == pytest.approx(
+                np.trapezoid(np.trapezoid(dens, nodes, axis=1), nodes), rel=1e-12)
+
+    def test_one_joint_evaluation_per_identity(self):
+        base = JointDensitySpec.bivariate_normal(corr=0.4)
+        shapes = []
+
+        def counting(t, u):
+            shapes.append(np.shape(t))
+            return base.f_xy(t, u)
+
+        spec = JointDensitySpec(counting, base.f_x, base.f_y, base.support, 0.0, 0.0)
+        shapes.clear()
+        verify_stein(spec, IDENTITY, ONES, IDENTITY)
+        assert shapes == [(stein.GRID_POINTS, stein.GRID_POINTS)]
+
+
+class TestClosedForms:
+    """Values the trapezoid grid reproduces to rounding, pinned at 1e-9."""
+
+    def test_cubic_covariance(self):
+        # Cov[X^3 - X, Y] = corr * (3 E[X^2] - 1) = 2 corr
+        spec = JointDensitySpec.bivariate_normal(corr=0.5)
+        rep = verify_stein(spec, lambda t: t ** 3 - t, lambda t: 3.0 * t * t - 1.0,
+                           IDENTITY)
+        assert rep.lhs == pytest.approx(1.0, abs=1e-9)
+
+    def test_bridge_equal_marginals(self):
+        rep1, rep2 = verify_distance_covariance(JointDensitySpec.bivariate_normal(corr=0.4))
+        for value in (rep1.lhs, rep1.rhs, rep2.lhs):
+            assert value == pytest.approx(0.4, abs=1e-9)
+
+    def test_price_routes(self):
+        # E[(1 + f^2/4) x] = mu_x + E[f^2] mu_x / 4 = 1.5 + 0.375
+        spec = JointDensitySpec.bivariate_normal(mu_y=1.5, corr=0.7)
+        rep = price_asset(spec, lambda t: 1.0 + 0.25 * np.asarray(t) ** 2,
+                          lambda t: 0.5 * np.asarray(t))
+        for route in rep.routes:
+            assert route == pytest.approx(1.875, abs=1e-9)
+
+
 class TestBridge:
     def test_equal_marginals_both_sides_equal_correlation(self):
         for corr in (0.25, 0.5, -0.4):
@@ -218,6 +279,11 @@ class TestBridge:
         rep1, rep2 = verify_distance_covariance(spec, h=lambda u: u ** 3 / 3.0)
         assert rep1.residual <= bound(rep1)
         assert rep2.residual <= bound(rep2)
+
+    def test_wrong_stated_mean_rejected(self):
+        spec = JointDensitySpec.bivariate_normal(mu_y=1.0, corr=0.5)
+        with pytest.raises(MomentMismatch):
+            verify_distance_covariance(dataclasses.replace(spec, mu_y=0.5))
 
 
 class TestPriceAsset:
@@ -251,6 +317,11 @@ class TestPriceAsset:
             assert rep.restricted_total == pytest.approx(
                 rep.restricted_direct, abs=max(1e-3, 3 * rep.combined_error)
             )
+
+    def test_wrong_stated_mean_rejected(self):
+        spec = JointDensitySpec.bivariate_normal(mu_y=1.0, corr=0.5)
+        with pytest.raises(MomentMismatch):
+            price_asset(dataclasses.replace(spec, mu_y=0.5), IDENTITY, ONES)
 
     def test_random_polynomial_battery(self):
         rng = np.random.default_rng(10)
