@@ -21,8 +21,9 @@ Two families live here:
   target density with ``N`` node/weight pairs, built by turning the moment
   sequence into orthogonal-polynomial recurrence coefficients (Hankel
   Cholesky) and solving the symmetric tridiagonal eigenproblem (Golub &
-  Welsch 1969). A sequence that nodes and weights cannot reproduce to 1e-8
-  raises :class:`~distsim.errors.NonConvergence`.
+  Welsch 1969), for one moment row per column in one stacked eigensolve. A
+  sequence that nodes and weights cannot reproduce to 1e-8 raises
+  :class:`~distsim.errors.NonConvergence`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import wrightomega
 
 from .core import DiscreteDist, _freeze
@@ -259,53 +259,58 @@ def _moments_from_density(f, support, count: int) -> np.ndarray:
                         *support).value
 
 
-def _jacobi_from_moments(moms: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Recurrence coefficients (alpha, sqrt(beta)) via partial Hankel Cholesky.
+def _sample_moments(matrix: np.ndarray, count: int) -> np.ndarray:
+    """Raw sample moments ``m_0 .. m_{count-1}``, one row per column of ``matrix``.
 
-    Uses exactly ``m_0 .. m_{2n-1}``; the (n, n) Hankel entry is never
-    touched. A pivot at or below 1e-14 of its own Hankel diagonal entry
-    means the sequence is not a valid moment sequence of a distribution with
-    ``n`` or more support points; scaling each pivot by its own order keeps
-    raw moments of large values (``m_7`` near 1e14) from masking order 0.
+    Powers are running products, ``x^p = x^(p-1) x``: no element goes through ``pow``.
     """
-    size = n + 1
-    hank = np.zeros((size, size))
-    for i in range(size):
-        for j in range(size):
-            if i + j < 2 * n:
-                hank[i, j] = moms[i + j]
-    chol = np.zeros((size, size))
-    for j in range(size):
-        for i in range(j + 1):
-            if i == n and j == n:
+    cols = np.ascontiguousarray(np.asarray(matrix).T, dtype=float)
+    moms, power = np.empty((cols.shape[0], count)), np.ones_like(cols)
+    for p in range(count):
+        moms[:, p] = power.mean(axis=1)
+        power = power * cols
+    return moms
+
+
+def _jacobi_from_moments(moms: np.ndarray, n: int) -> np.ndarray:
+    """Jacobi matrices, ``(rows, n, n)``, of moment rows via partial Hankel Cholesky.
+
+    Each row takes its own dot products. Uses exactly ``m_0 .. m_{2n-1}``; the (n, n)
+    Hankel entry is never touched. A pivot at or below 1e-14 of its own Hankel diagonal
+    entry (checked before its square root) means the sequence is not a valid
+    moment sequence of a distribution with ``n`` or more support points;
+    scaling each pivot by its own order keeps raw moments of large values
+    (``m_7`` near 1e14) from masking order 0.
+    """
+    chol = np.zeros((moms.shape[0], n + 1, n + 1))
+    for j in range(n + 1):
+        for i in range(min(j + 1, n)):
+            s = moms[:, i + j] - (chol[:, None, :i, i] @ chol[:, :i, j, None])[:, 0, 0]
+            if i < j:
+                chol[:, i, j] = s / chol[:, i, i]
                 continue
-            s = hank[i, j] - chol[:i, i] @ chol[:i, j]
-            if i == j:
-                if s <= abs(hank[i, i]) * 1e-14:
-                    raise MomentMatrixNotPD(
-                        f"moment Hankel matrix is not positive definite at order {i}"
-                    )
-                chol[i, j] = math.sqrt(s)
-            else:
-                chol[i, j] = s / chol[i, i]
-    alpha = np.empty(n)
-    off = np.empty(max(n - 1, 0))
-    for j in range(n):
-        alpha[j] = chol[j, j + 1] / chol[j, j]
-        if j > 0:
-            alpha[j] -= chol[j - 1, j] / chol[j - 1, j - 1]
-            off[j - 1] = chol[j, j] / chol[j - 1, j - 1]
-    return alpha, off
+            refused = np.flatnonzero(s <= np.abs(moms[:, 2 * i]) * 1e-14)
+            if refused.size:
+                raise MomentMatrixNotPD(f"moment row {refused[0]}: Hankel matrix is not "
+                                        f"positive definite at order {i}")
+            chol[:, i, i] = np.sqrt(s)
+    k = np.arange(n)
+    diag = chol[:, k, k]
+    jacobi = np.zeros((moms.shape[0], n, n))
+    jacobi[:, k, k] = np.diff(chol[:, k, k + 1] / diag, axis=1, prepend=0.0)
+    jacobi[:, k[1:], k[:-1]] = jacobi[:, k[:-1], k[1:]] = diag[:, 1:] / diag[:, :-1]
+    return jacobi
 
 
-def moment_match(target, n_nodes: int) -> DiscreteApprox:
-    """Discrete distribution matching the first ``2 n_nodes - 1`` raw moments.
+def moment_match(target, n_nodes: int):
+    """Discrete distributions matching the first ``2 n_nodes - 1`` raw moments.
 
-    ``target`` is either an explicit moment vector ``m_0 .. m_{2N-1}`` (with
-    ``m_0 = 1``) or a pair ``(density, (a, b))`` whose moments are computed
-    by quadrature. Matched moments are exact to 1e-8 relative, or
-    :class:`NonConvergence` is raised; the moment of order ``2N`` is
-    generally not matched.
+    ``target`` is a moment vector ``m_0 .. m_{2N-1}`` (``m_0 = 1``) or a pair
+    ``(density, (a, b))`` whose moments come by quadrature, giving one
+    :class:`DiscreteApprox`; or an ``(m, 2N)`` matrix of moment rows, giving
+    a tuple of one per row, each equal to that row's own result. Matched
+    moments are exact to 1e-8 relative, or :class:`NonConvergence` is raised
+    (the moment of order ``2N`` is generally not matched); errors name the row.
     """
     if n_nodes < 1:
         raise DomainError("n_nodes must be >= 1")
@@ -315,24 +320,24 @@ def moment_match(target, n_nodes: int) -> DiscreteApprox:
         moms = _moments_from_density(f, support, need)
     else:
         moms = np.asarray(target, dtype=float)
-        if moms.ndim != 1 or moms.size < need:
+        if moms.ndim not in (1, 2) or moms.shape[-1] < need:
             raise DomainError(f"need {need} moments m_0..m_{need - 1}")
-        moms = moms[:need]
+    single = moms.ndim == 1
+    moms = np.atleast_2d(moms)[:, :need]
     if not np.all(np.isfinite(moms)):
         raise DomainError("moments must be finite")
-    if abs(moms[0] - 1.0) > 1e-6:
-        raise DomainError(f"m_0 must be 1, got {moms[0]!r}")
+    bad = np.flatnonzero(np.abs(moms[:, 0] - 1.0) > 1e-6)
+    if bad.size:
+        raise DomainError(f"moment row {bad[0]}: m_0 must be 1, got {moms[bad[0], 0]!r}")
 
-    if n_nodes == 1:
-        return DiscreteApprox(np.array([moms[1] / moms[0]]), np.array([1.0]))
+    nodes, vecs = np.linalg.eigh(_jacobi_from_moments(moms, n_nodes))  # one stacked solve
+    weights = moms[:, :1] * vecs[:, 0, :] ** 2
 
-    alpha, off = _jacobi_from_moments(moms, n_nodes)
-    nodes, vecs = eigh_tridiagonal(alpha, off)
-    weights = moms[0] * vecs[0] ** 2
+    got = (weights[:, :, None] * nodes[:, :, None] ** np.arange(need)).sum(axis=1)
+    bad = np.flatnonzero((np.abs(got - moms) / np.maximum(np.abs(moms), 1.0)).max(axis=1) > 1e-8)
+    if bad.size:
+        raise NonConvergence(f"moment row {bad[0]}: moment system could not be matched to 1e-8")
 
-    got = np.array([weights @ nodes ** j for j in range(need)])
-    if np.abs((got - moms) / np.maximum(np.abs(moms), 1.0)).max() > 1e-8:
-        raise NonConvergence("moment system could not be matched to 1e-8")
-
-    weights = weights / weights.sum()
-    return DiscreteApprox(nodes, weights)
+    weights = weights / weights.sum(axis=1, keepdims=True)
+    fits = tuple(DiscreteApprox(x, w) for x, w in zip(nodes, weights))
+    return fits[0] if single else fits

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .approx import NLNComponent, moment_match, nln_sum_density
+from .approx import NLNComponent, _sample_moments, moment_match, nln_sum_density
 from .core import (
     DiscreteDist,
     GaussianMulti,
@@ -192,8 +192,7 @@ def _cmd_approx(args) -> int:
                 raise DomainError(f"no column {args.column!r} in {args.input}; "
                                   f"columns: {', '.join(data.labels)}")
             idx = data.labels.index(args.column) if args.column else 0
-            col = data.values[:, idx]
-            moms = np.array([float(np.mean(col ** p)) for p in range(2 * args.nodes)])
+            moms = _sample_moments(data.values[:, [idx]], 2 * args.nodes)[0]
         approx = moment_match(moms, args.nodes)
         _emit({"nodes": list(approx.nodes), "weights": list(approx.weights)},
               args.output)

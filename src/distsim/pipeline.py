@@ -24,8 +24,9 @@ compares.
 Fits: multivariate normal with diagonal shrinkage; truncated multivariate
 normal assembled from per-column truncated fits plus the sample
 correlation; or per-column moment-matched discrete approximations whose
-product-form overlap factorizes across columns. Both normal fits start the
-shrinkage ladder at ``RunConfig.shrinkage`` and note any raise.
+product-form overlap factorizes across columns, all fitted by one
+``moment_match`` call. Both normal fits start the shrinkage ladder at
+``RunConfig.shrinkage`` and note any raise.
 
 Raw levels are compared by default; a log-return transform is opt-in.
 Everything is deterministic given the run seed. Pairwise comparisons (and
@@ -64,7 +65,7 @@ from .errors import (
     InvalidDistribution,
 )
 from .gaussian import bc_mvn, bc_truncated_mvn, fit_truncated_normal
-from .approx import moment_match
+from .approx import _sample_moments, moment_match
 from .quadrature import QuadConfig
 from .reduce import jl_min_dimension, jl_project, pca_reduce
 
@@ -333,13 +334,8 @@ def _fit_truncated_mvn(name: str, matrix: np.ndarray, cfg: RunConfig,
 
 
 def _fit_discrete(name: str, matrix: np.ndarray, cfg: RunConfig, notes: list[str]):
-    """Per-column moment-matched discrete approximations (empirical moments)."""
-    blocks = []
-    for j in range(matrix.shape[1]):
-        col = matrix[:, j]
-        moms = np.array([np.mean(col ** p) for p in range(2 * cfg.n_nodes)])
-        blocks.append(moment_match(moms, cfg.n_nodes))
-    return blocks
+    """Per-column moment-matched discrete approximations (empirical moments), one call."""
+    return moment_match(_sample_moments(matrix, 2 * cfg.n_nodes), cfg.n_nodes)
 
 
 def _discrete_distance(blocks_a, blocks_b) -> float:

@@ -2,9 +2,9 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
 
 from distsim import (
     DensityOverflow,
@@ -38,6 +38,15 @@ STD_NORMAL_MOMENTS = np.array([1.0, 0.0, 1.0, 0.0, 3.0, 0.0])
 
 #: 500 raw price levels drawn from N(100, 5^2)
 PRICES = np.random.default_rng(0).normal(100.0, 5.0, 500)
+
+
+def moment_rows(n):
+    """Raw moments m_0..m_{2n-1} of PRICES and four seeded samples, one row each."""
+    rng = np.random.default_rng(n)
+    samples = [PRICES, rng.standard_normal(250), rng.gamma(2.0, 1.5, 400),
+               rng.uniform(-1.0, 3.0, 300), 0.02 * rng.standard_t(4, 250)]
+    return np.array([[np.mean(x ** p) for p in range(2 * n)] for x in samples])
+
 
 #: components like the benchmark's (k 2-6, |mu_y| < 0.1, sigma_y 0.2-0.5) and
 #: both ends of the mixing width
@@ -315,13 +324,65 @@ class TestMomentMatch:
         assert 80.0 < approx.nodes[0] < approx.nodes[-1] < 115.0
 
     def test_unmatched_nodes_raise(self, monkeypatch):
-        def perturbed(alpha, off):
-            nodes, vecs = eigh_tridiagonal(alpha, off)
+        eigh = np.linalg.eigh
+
+        def perturbed(jacobi):
+            nodes, vecs = eigh(jacobi)
             return nodes + 1e-3, vecs
 
-        monkeypatch.setattr(approx, "eigh_tridiagonal", perturbed)
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(NonConvergence, match="1e-8"):
             moment_match(STD_NORMAL_MOMENTS, 3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matrix_rows_equal_single_calls(self, n):
+        moms = moment_rows(n)
+        fits = moment_match(moms, n)
+        assert isinstance(fits, tuple) and len(fits) == len(moms)
+        for row, fit in zip(moms, fits):
+            alone = moment_match(row, n)
+            assert np.array_equal(fit.nodes, alone.nodes)
+            assert np.array_equal(fit.weights, alone.weights)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_jacobi_equals_scalar_cholesky(self, n):
+        # the one-sequence loop the stacked factorisation replaced, kept as the reference
+        moms = moment_rows(n)
+        for moms_row, jacobi in zip(moms, approx._jacobi_from_moments(moms, n)):
+            chol = np.zeros((n + 1, n + 1))
+            for j in range(n + 1):
+                for i in range(min(j + 1, n)):
+                    s = moms_row[i + j] - chol[:i, i] @ chol[:i, j]
+                    chol[i, j] = math.sqrt(s) if i == j else s / chol[i, i]
+            ratio = [chol[j, j + 1] / chol[j, j] for j in range(n)]
+            off = [chol[j, j] / chol[j - 1, j - 1] for j in range(1, n)]
+            assert np.array_equal(np.diag(jacobi), [ratio[0]] + [
+                ratio[j] - ratio[j - 1] for j in range(1, n)])
+            assert np.array_equal(np.diag(jacobi, -1), off)
+            assert np.array_equal(np.diag(jacobi, 1), off)
+
+    def test_refused_row_is_named(self):
+        moms = np.array([[float(np.mean(PRICES ** j)) for j in range(8)]] * 3)
+        moms[1, 2] = 0.999 * moms[1, 1] ** 2
+        with pytest.raises(MomentMatrixNotPD, match="row 1: .* order 1"):
+            moment_match(moms, 4)
+        moms[1] = moms[0]
+        moms[2, :6] = [1.0, 1.0, 0.5, 0.0, 1.0, 0.0]
+        with pytest.raises(MomentMatrixNotPD, match="row 2: .* order 1"):
+            moment_match(moms[:, :6], 3)
+
+    @pytest.mark.parametrize("column", [
+        # score-sized but not centred: a centred column's m_1 is rounding noise
+        0.03 * np.random.default_rng(11).standard_normal(250),
+        PRICES,
+    ], ids=["score", "price"])
+    def test_sample_moments_by_running_products(self, column):
+        # a fit's raw moments x^p = x^(p-1) x, against a 60-digit mean of x**p
+        got = approx._sample_moments(column[:, None], 8)[0]
+        with mpmath.workdps(60):
+            xs = [mpmath.mpf(float(x)) for x in column]
+            want = [float(mpmath.fsum(x ** p for x in xs) / len(xs)) for p in range(8)]
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_leading_moment_must_be_one(self):
         with pytest.raises(DomainError):

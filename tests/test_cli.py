@@ -16,6 +16,7 @@ from distsim import (
     to_json,
 )
 from distsim.cli import main
+from distsim.pipeline import RunConfig, _fit_discrete
 
 
 def write(path, text):
@@ -145,6 +146,20 @@ class TestApprox:
                      "--nodes", "5"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert 80.0 < out["nodes"][0] < out["nodes"][-1] < 115.0
+
+    def test_column_matches_discrete_fit_bits(self, tmp_path, capsys):
+        # log-return-sized values, where x**p and running products give other moment bits
+        data = SampleMatrix(np.random.default_rng(4).normal(0.0, 0.02, (250, 3)),
+                            ("a", "b", "c"))
+        src = tmp_path / "group.csv"
+        data.to_csv(src)
+        assert main(["approx", "moment-match", "--input", str(src), "--column", "b",
+                     "--nodes", "4"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        cfg = RunConfig(method="pca", fit="discrete", n_nodes=4)
+        fit = _fit_discrete("group", SampleMatrix.from_csv(src).values, cfg, [])
+        assert out["nodes"] == list(fit[1].nodes)
+        assert out["weights"] == list(fit[1].weights)
 
     def test_nln_density_dump(self, tmp_path):
         out = tmp_path / "grid.csv"
