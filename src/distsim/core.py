@@ -1,11 +1,13 @@
 """Domain types shared by every distsim module.
 
-All distribution containers are immutable after construction and validate
-their invariants in the constructor: it is impossible to hold an invalid
-instance that came out of the public API. Each type also exposes a
-``check(...)`` classmethod that reports the first violated invariant as a
-string (or ``None``) without raising, and the module-level :func:`validate`
-re-checks an existing instance the same way.
+All distribution containers are immutable after construction, and the
+constructor is the one place their invariants are checked: it raises
+:class:`~distsim.errors.InvalidDistribution` at the first violation, so it
+is impossible to hold an invalid instance that came out of the public API.
+Each distribution type and :class:`SampleMatrix` share one ``check(...)``
+classmethod that reports, as a string (or ``None``) and without raising,
+what construction from the same arguments would raise; the module-level
+:func:`validate` asks it about an existing instance's field values.
 
 Truncation bounds use genuine IEEE infinities (``float("inf")``), never
 large-number sentinels, so untruncated limits are exact.
@@ -68,6 +70,8 @@ PROB_SUM_RENORM_TOL = 1e-9
 SYMMETRY_TOL = 1e-10
 #: largest |diagonal entry| a DistanceMatrix accepts as zero.
 DIAG_TOL = 1e-9
+#: start of the warning a renormalized DiscreteDist emits.
+_RENORM_WARNING = "probability vector sums to"
 #: CSV cell tokens (stripped, lower-cased) that mean "no value".
 NA_TOKENS = frozenset({"", "na", "nan", "null", "none", "n/a"})
 #: JSON has no literal for an infinity, so one travels as one of these strings.
@@ -79,10 +83,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
-
-
-def _is_finite_vector(v: np.ndarray) -> bool:
-    return v.ndim == 1 and np.all(np.isfinite(v))
 
 
 class ObjectMemo:
@@ -145,12 +145,33 @@ def _decode(name: str, kind: str, value):
     raise InvalidDistribution(f"field {name!r} has the wrong JSON type: {value!r:.60}")
 
 
-class _Distribution:
-    """A distribution type whose dataclass fields drive its checks and JSON form.
+class _Checked:
+    """A type whose constructor raises :class:`InvalidDistribution` at its first violation."""
+
+    @classmethod
+    def check(cls, *args, **kwargs) -> str | None:
+        """The message construction from these arguments would raise, or ``None``.
+
+        Builds the object and drops it, without the renormalisation warning
+        of :class:`DiscreteDist`, which ``warnings.catch_warnings`` hides for
+        the whole process while it runs. An argument that cannot be coerced
+        to a number raises as construction does.
+        """
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _RENORM_WARNING, UserWarning)
+            try:
+                cls(*args, **kwargs)
+            except InvalidDistribution as e:
+                return str(e)
+        return None
+
+
+class _Distribution(_Checked):
+    """A distribution type whose dataclass fields drive its coercion and JSON form.
 
     Construction turns ``float`` fields into floats and ``np.ndarray`` fields
-    into read-only float arrays, then raises :class:`InvalidDistribution`
-    with the first violation ``check`` reports for the field values.
+    into read-only float arrays; each type's ``__post_init__`` then checks
+    its invariants in order.
     """
 
     def __post_init__(self):
@@ -159,9 +180,6 @@ class _Distribution:
                 object.__setattr__(self, f.name, float(getattr(self, f.name)))
             elif f.type == "np.ndarray":
                 object.__setattr__(self, f.name, _freeze(getattr(self, f.name)))
-        msg = validate(self)
-        if msg is not None:
-            raise InvalidDistribution(msg)
 
     def to_dict(self) -> dict:
         d = {"type": type(self).__name__}
@@ -188,37 +206,37 @@ class DiscreteDist(_Distribution):
 
     ``probs`` must be nonnegative and sum to 1 within ``1e-12``. Sums off by
     at most ``1e-9`` (common with CSV-rounded histograms) are renormalized
-    with a warning; larger deviations are rejected.
+    with a warning; larger deviations are rejected. ``labels``, if given,
+    name each category once.
     """
 
     probs: np.ndarray
     labels: tuple[str, ...] | None = None
 
-    @classmethod
-    def check(cls, probs, labels=None) -> str | None:
-        p = np.asarray(probs, dtype=float)
-        if p.ndim != 1 or p.size < 1:
-            return "probs must be a nonempty 1-D vector"
-        if not np.all(np.isfinite(p)):
-            return "probs must be finite"
-        if np.any(p < 0):
-            return "probs must be nonnegative"
-        if abs(float(p.sum()) - 1.0) > PROB_SUM_RENORM_TOL:
-            return f"sum of probs is {float(p.sum())!r}, not 1"
-        if labels is not None and len(labels) != p.size:
-            return "labels length does not match probs length"
-        return None
-
     def __post_init__(self):
         super().__post_init__()
-        s = float(self.probs.sum())
+        p = self.probs
+        if p.ndim != 1 or p.size < 1:
+            raise InvalidDistribution("probs must be a nonempty 1-D vector")
+        if not np.all(np.isfinite(p)):
+            raise InvalidDistribution("probs must be finite")
+        if np.any(p < 0):
+            raise InvalidDistribution("probs must be nonnegative")
+        s = float(p.sum())
+        if abs(s - 1.0) > PROB_SUM_RENORM_TOL:
+            raise InvalidDistribution(f"sum of probs is {s!r}, not 1")
+        if self.labels is not None:
+            labels = tuple(str(x) for x in self.labels)
+            if len(labels) != p.size:
+                raise InvalidDistribution("labels length does not match probs length")
+            if len(set(labels)) != len(labels):
+                raise InvalidDistribution("labels must be distinct")
+            object.__setattr__(self, "labels", labels)
         if abs(s - 1.0) > PROB_SUM_TOL:
             warnings.warn(
-                f"probability vector sums to {s!r}; renormalizing", stacklevel=3
+                f"{_RENORM_WARNING} {s!r}; renormalizing", stacklevel=3
             )
-            object.__setattr__(self, "probs", _freeze(self.probs / s))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
+            object.__setattr__(self, "probs", _freeze(p / s))
 
     @property
     def k(self) -> int:
@@ -232,13 +250,12 @@ class GaussianUni(_Distribution):
     mu: float
     sigma2: float
 
-    @classmethod
-    def check(cls, mu, sigma2) -> str | None:
-        if not (math.isfinite(mu) and math.isfinite(sigma2)):
-            return "mu and sigma2 must be finite"
-        if sigma2 <= 0:
-            return f"sigma2 must be > 0, got {sigma2!r}"
-        return None
+    def __post_init__(self):
+        super().__post_init__()
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma2)):
+            raise InvalidDistribution("mu and sigma2 must be finite")
+        if self.sigma2 <= 0:
+            raise InvalidDistribution(f"sigma2 must be > 0, got {self.sigma2!r}")
 
     @property
     def sigma(self) -> float:
@@ -246,17 +263,22 @@ class GaussianUni(_Distribution):
         return math.sqrt(self.sigma2)
 
 
-def _check_cov(cov: np.ndarray) -> str | None:
+def _usable_cov(cov: np.ndarray, prefix: str = "") -> tuple[float, float]:
+    """:func:`log_det_condition` of a covariance, after its shape, finiteness
+    and symmetry; raises :class:`InvalidDistribution` (``prefix`` + reason)
+    at the first defect, positive definiteness last."""
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        return "cov must be a square matrix"
-    if not np.all(np.isfinite(cov)):
-        return "cov must be finite"
-    if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
-        return "cov is not symmetric"
-    eigvals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
-    if eigvals.min() <= 0:
-        return "cov is not positive definite"
-    return None
+        reason = "cov must be a square matrix"
+    elif not np.all(np.isfinite(cov)):
+        reason = "cov must be finite"
+    elif np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
+        reason = "cov is not symmetric"
+    else:
+        log_det, condition = log_det_condition(cov)
+        if not math.isnan(log_det):
+            return log_det, condition
+        reason = "cov is not positive definite"
+    raise InvalidDistribution(prefix + reason)
 
 
 def log_det_condition(cov: np.ndarray) -> tuple[float, float]:
@@ -276,22 +298,13 @@ class GaussianMulti(_Distribution):
     mu: np.ndarray
     cov: np.ndarray
 
-    @classmethod
-    def check(cls, mu, cov) -> str | None:
-        mu = np.asarray(mu, dtype=float)
-        cov = np.asarray(cov, dtype=float)
-        if not _is_finite_vector(mu):
-            return "mu must be a finite 1-D vector"
-        msg = _check_cov(cov)
-        if msg is not None:
-            return msg
-        if cov.shape[0] != mu.size:
-            return "mu and cov dimensions do not match"
-        return None
-
     def __post_init__(self):
         super().__post_init__()
-        log_det, condition = log_det_condition(self.cov)
+        if self.mu.ndim != 1 or not np.all(np.isfinite(self.mu)):
+            raise InvalidDistribution("mu must be a finite 1-D vector")
+        log_det, condition = _usable_cov(self.cov)
+        if self.cov.shape[0] != self.mu.size:
+            raise InvalidDistribution("mu and cov dimensions do not match")
         object.__setattr__(self, "log_det", log_det)
         object.__setattr__(self, "condition", condition)
 
@@ -313,16 +326,14 @@ class TruncGaussianUni(_Distribution):
     lower: float = -math.inf
     upper: float = math.inf
 
-    @classmethod
-    def check(cls, mu, sigma2, lower=-math.inf, upper=math.inf) -> str | None:
-        msg = GaussianUni.check(mu, sigma2)
-        if msg is not None:
-            return msg
-        if math.isnan(lower) or math.isnan(upper):
-            return "bounds must not be NaN"
-        if not lower < upper:
-            return f"lower bound {lower!r} must be < upper bound {upper!r}"
-        return None
+    def __post_init__(self):
+        super().__post_init__()
+        self.parent()  # checks mu and sigma2
+        if math.isnan(self.lower) or math.isnan(self.upper):
+            raise InvalidDistribution("bounds must not be NaN")
+        if not self.lower < self.upper:
+            raise InvalidDistribution(
+                f"lower bound {self.lower!r} must be < upper bound {self.upper!r}")
 
     @property
     def sigma(self) -> float:
@@ -345,26 +356,19 @@ class TruncGaussianMulti(_Distribution):
     lower: np.ndarray
     upper: np.ndarray
 
-    @classmethod
-    def check(cls, mu, cov, lower, upper) -> str | None:
-        msg = GaussianMulti.check(mu, cov)
-        if msg is not None:
-            return msg
-        mu = np.asarray(mu, dtype=float)
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        if lower.shape != mu.shape or upper.shape != mu.shape:
-            return "bound vectors must match mu length"
-        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
-            return "bounds must not be NaN"
-        if not np.all(lower < upper):
-            return "each lower bound must be < the matching upper bound"
-        return None
-
     def __post_init__(self):
         super().__post_init__()
-        # built once, so every pair sees the same object and its remembered box normaliser
-        object.__setattr__(self, "_parent", GaussianMulti(self.mu, self.cov))
+        # checks mu and cov; built once, so every pair sees the same object
+        # and its remembered box normaliser
+        parent = GaussianMulti(self.mu, self.cov)
+        lower, upper = self.lower, self.upper
+        if lower.shape != self.mu.shape or upper.shape != self.mu.shape:
+            raise InvalidDistribution("bound vectors must match mu length")
+        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
+            raise InvalidDistribution("bounds must not be NaN")
+        if not np.all(lower < upper):
+            raise InvalidDistribution("each lower bound must be < the matching upper bound")
+        object.__setattr__(self, "_parent", parent)
 
     @property
     def k(self) -> int:
@@ -414,10 +418,7 @@ class MvnOverlapParams:
     M: float
 
     def __post_init__(self):
-        S = np.asarray(self.S, dtype=float)
-        msg = _check_cov(S)
-        if msg is not None:
-            raise InvalidDistribution(f"S: {msg}")
+        _usable_cov(np.asarray(self.S, dtype=float), "S: ")
         if self.M < 0:
             raise InvalidDistribution("M must be >= 0")
         for name in ("l", "u", "m", "S"):
@@ -426,7 +427,7 @@ class MvnOverlapParams:
 
 
 @dataclass(frozen=True, eq=False)
-class SampleMatrix:
+class SampleMatrix(_Checked):
     """``T`` observations (rows) by ``N`` variables (columns), all finite.
 
     Rows are time/observations and columns are variables throughout the
@@ -436,25 +437,17 @@ class SampleMatrix:
     values: np.ndarray
     labels: tuple[str, ...] = ()
 
-    @classmethod
-    def check(cls, values, labels=()) -> str | None:
-        v = np.asarray(values, dtype=float)
-        if v.ndim != 2:
-            return "values must be a 2-D matrix"
-        if v.shape[0] < 1 or v.shape[1] < 1:
-            return "matrix must have at least one row and one column"
-        if not np.all(np.isfinite(v)):
-            return "all entries must be finite"
-        if labels and len(labels) != v.shape[1]:
-            return "labels length does not match column count"
-        return None
-
     def __post_init__(self):
-        msg = self.check(self.values, self.labels)
-        if msg is not None:
-            raise InvalidDistribution(msg)
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", _freeze(v))
+        v = _freeze(self.values)
+        if v.ndim != 2:
+            raise InvalidDistribution("values must be a 2-D matrix")
+        if v.shape[0] < 1 or v.shape[1] < 1:
+            raise InvalidDistribution("matrix must have at least one row and one column")
+        if not np.all(np.isfinite(v)):
+            raise InvalidDistribution("all entries must be finite")
+        if self.labels and len(self.labels) != v.shape[1]:
+            raise InvalidDistribution("labels length does not match column count")
+        object.__setattr__(self, "values", v)
         labels = self.labels or tuple(f"c{i}" for i in range(v.shape[1]))
         object.__setattr__(self, "labels", tuple(str(x) for x in labels))
 
@@ -580,8 +573,9 @@ class QuadResult:
 def validate(dist) -> str | None:
     """Re-check an existing instance; return the first violation or ``None``.
 
-    Never raises. Instances built through the public constructors always
-    come back clean; this is the reporting twin of the constructor checks.
+    Never raises: it asks the type's ``check`` what rebuilding the instance
+    from its field values would raise. An instance built through the public
+    constructors always comes back clean.
     """
     check = getattr(type(dist), "check", None)
     if check is None or not is_dataclass(dist):

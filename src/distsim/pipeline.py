@@ -54,6 +54,7 @@ from .core import (
     TruncGaussianMulti,
     TruncGaussianUni,
     _encode,
+    log_det_condition,
     read_csv,
 )
 from .divergence import DivergenceValue
@@ -266,8 +267,7 @@ def _shrink(mat: np.ndarray, scale: float, start: float,
     eye = np.eye(mat.shape[0])
     for lam in sorted({start, *[x for x in SHRINKAGE_LADDER if x >= start]}):
         shrunk = (1.0 - lam) * mat + lam * scale * eye
-        eigvals = np.linalg.eigvalsh(shrunk)
-        if eigvals.min() > 0 and eigvals.max() / eigvals.min() < MAX_COND:
+        if log_det_condition(shrunk)[1] < MAX_COND:
             return shrunk, lam
     raise DegenerateData(f"{what} stayed ill-conditioned through the shrinkage ladder")
 

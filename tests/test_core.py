@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from distsim import (
     GaussianMulti,
     GaussianUni,
     InvalidDistribution,
+    MvnOverlapParams,
     OverlapParams,
     ParseError,
     QuadResult,
@@ -28,6 +30,66 @@ from distsim import (
     validate,
 )
 from distsim.core import ObjectMemo
+from distsim.pipeline import estimate_mvn
+
+NAN, INF = math.nan, math.inf
+EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+SINGULAR = [[1.0, 1.0], [1.0, 1.0]]
+
+#: (type, constructor arguments, the message construction raises)
+MALFORMED = [
+    (DiscreteDist, ([],), "probs must be a nonempty 1-D vector"),
+    (DiscreteDist, ([[0.5, 0.5]],), "probs must be a nonempty 1-D vector"),
+    (DiscreteDist, ([NAN, 1.0],), "probs must be finite"),
+    (DiscreteDist, ([1.2, -0.2],), "probs must be nonnegative"),
+    (DiscreteDist, ([0.6, 0.6],), "sum of probs is 1.2, not 1"),
+    (DiscreteDist, ([-0.1, 0.6],), "probs must be nonnegative"),
+    (DiscreteDist, ([0.5, 0.5], ("a",)), "labels length does not match probs length"),
+    (DiscreteDist, ([0.5, 0.5], ("a", "a")), "labels must be distinct"),
+    (GaussianUni, (NAN, 1.0), "mu and sigma2 must be finite"),
+    (GaussianUni, (0.0, INF), "mu and sigma2 must be finite"),
+    (GaussianUni, (0.0, 0.0), "sigma2 must be > 0, got 0.0"),
+    (GaussianUni, (0.0, -1.5), "sigma2 must be > 0, got -1.5"),
+    (GaussianMulti, ([[0.0]], [[1.0]]), "mu must be a finite 1-D vector"),
+    (GaussianMulti, ([NAN, 0.0], EYE2), "mu must be a finite 1-D vector"),
+    (GaussianMulti, ([0.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+     "cov must be a square matrix"),
+    (GaussianMulti, ([0.0], [1.0]), "cov must be a square matrix"),
+    (GaussianMulti, ([0.0, 0.0], [[1.0, NAN], [NAN, 1.0]]), "cov must be finite"),
+    (GaussianMulti, ([0.0, 0.0], [[1.0, 0.3], [0.1, 1.0]]), "cov is not symmetric"),
+    (GaussianMulti, ([0.0, 0.0], SINGULAR), "cov is not positive definite"),
+    (GaussianMulti, ([0.0, 0.0], [[-1.0, 0.0], [0.0, 1.0]]), "cov is not positive definite"),
+    # two violations: the covariance is judged before the dimensions
+    (GaussianMulti, ([0.0, 0.0, 0.0], SINGULAR), "cov is not positive definite"),
+    (GaussianMulti, ([0.0, 0.0, 0.0], EYE2), "mu and cov dimensions do not match"),
+    (TruncGaussianUni, (INF, 1.0), "mu and sigma2 must be finite"),
+    (TruncGaussianUni, (0.0, -1.0, 0.0, 1.0), "sigma2 must be > 0, got -1.0"),
+    (TruncGaussianUni, (0.0, 1.0, NAN, 1.0), "bounds must not be NaN"),
+    (TruncGaussianUni, (0.0, 1.0, 2.0, 1.0), "lower bound 2.0 must be < upper bound 1.0"),
+    (TruncGaussianUni, (0.0, 1.0, 1.0, 1.0), "lower bound 1.0 must be < upper bound 1.0"),
+    (TruncGaussianMulti, ([NAN, 0.0], EYE2, [0.0, 0.0], [1.0, 1.0]),
+     "mu must be a finite 1-D vector"),
+    (TruncGaussianMulti, ([0.0, 0.0], SINGULAR, [0.0, 0.0], [1.0, 1.0]),
+     "cov is not positive definite"),
+    (TruncGaussianMulti, ([0.0, 0.0, 0.0], EYE2, [0.0, 0.0], [1.0, 1.0]),
+     "mu and cov dimensions do not match"),
+    (TruncGaussianMulti, ([0.0, 0.0], EYE2, [0.0], [1.0, 2.0]),
+     "bound vectors must match mu length"),
+    (TruncGaussianMulti, ([0.0, 0.0], EYE2, [NAN, 0.0], [1.0, 1.0]), "bounds must not be NaN"),
+    (TruncGaussianMulti, ([0.0, 0.0], EYE2, [0.0, 0.0], [1.0, 0.0]),
+     "each lower bound must be < the matching upper bound"),
+    (SampleMatrix, ([1.0, 2.0],), "values must be a 2-D matrix"),
+    (SampleMatrix, (np.zeros((0, 2)),), "matrix must have at least one row and one column"),
+    (SampleMatrix, ([[1.0, NAN]],), "all entries must be finite"),
+    (SampleMatrix, (np.ones((2, 2)), ("a",)), "labels length does not match column count"),
+    (MvnOverlapParams, ([0.0], [1.0], [0.0], [1.0], 0.0), "S: cov must be a square matrix"),
+    (MvnOverlapParams, ([0.0], [1.0], [0.0], [[INF]], 0.0), "S: cov must be finite"),
+    (MvnOverlapParams, ([0.0] * 2, [1.0] * 2, [0.0] * 2, [[1.0, 0.3], [0.1, 1.0]], 0.0),
+     "S: cov is not symmetric"),
+    (MvnOverlapParams, ([0.0] * 2, [1.0] * 2, [0.0] * 2, SINGULAR, 0.0),
+     "S: cov is not positive definite"),
+    (MvnOverlapParams, ([0.0], [1.0], [0.0], [[1.0]], -0.5), "M must be >= 0"),
+]
 
 
 class TestDiscreteDist:
@@ -59,6 +121,24 @@ class TestDiscreteDist:
         d = DiscreteDist([0.5, 0.5])
         with pytest.raises(ValueError):
             d.probs[0] = 0.9
+
+    def test_duplicate_labels_refused(self):
+        with pytest.raises(InvalidDistribution, match="labels must be distinct"):
+            DiscreteDist([0.5, 0.5], ("a", "a"))
+        # labels are compared as the strings they are stored as
+        with pytest.raises(InvalidDistribution, match="labels must be distinct"):
+            DiscreteDist([0.5, 0.5], ("1", 1))
+        with pytest.raises(InvalidDistribution, match="labels must be distinct"):
+            from_json('{"type": "DiscreteDist", "probs": [0.5, 0.5], "labels": ["a", "a"]}')
+
+    def test_check_does_not_warn_but_construction_does(self):
+        probs = [0.5 + 3e-10, 0.5]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert DiscreteDist.check(probs) is None
+        assert caught == []
+        with pytest.warns(UserWarning, match="renormalizing"):
+            DiscreteDist(probs)
 
 
 class TestGaussianTypes:
@@ -108,6 +188,44 @@ class TestGaussianTypes:
     def test_truncated_multi_bound_shapes(self):
         with pytest.raises(InvalidDistribution):
             TruncGaussianMulti([0.0, 0.0], np.eye(2), [0.0], [1.0, 2.0])
+
+
+class TestConstructionChecks:
+    """Construction is the one place invariants are checked; ``check`` reports it."""
+
+    @pytest.mark.parametrize("cls, args, message", MALFORMED,
+                             ids=[f"{c.__name__}-{i}" for i, (c, _, _) in enumerate(MALFORMED)])
+    def test_check_and_constructor_report_the_first_violation(self, cls, args, message):
+        with pytest.raises(InvalidDistribution) as info:
+            cls(*args)
+        assert str(info.value) == message
+        if cls is not MvnOverlapParams:  # an internal type, without ``check``
+            assert cls.check(*args) == message
+
+    @pytest.mark.parametrize("build, calls", [
+        (lambda: GaussianMulti(np.zeros(3), np.diag([1.0, 2.0, 3.0])), 1),
+        (lambda: TruncGaussianMulti(np.zeros(3), np.diag([1.0, 2.0, 3.0]),
+                                    -np.ones(3), np.ones(3)), 1),
+        (lambda: estimate_mvn(SampleMatrix(
+            np.random.default_rng(5).standard_normal((250, 10)))), 2),
+    ], ids=["GaussianMulti", "TruncGaussianMulti", "estimate_mvn"])
+    def test_covariance_decompositions_per_build(self, monkeypatch, build, calls):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a) or eigvalsh(a))
+        build()
+        assert len(seen) == calls
+
+    def test_check_of_a_valid_input_is_none(self):
+        assert GaussianMulti.check([0.0, 1.0], EYE2) is None
+        assert TruncGaussianUni.check(0.0, 1.0, -1.0) is None
+        assert SampleMatrix.check(np.ones((2, 3)), ("a", "b", "c")) is None
+
+    def test_uncoercible_value_raises_as_construction_does(self):
+        with pytest.raises(ValueError):
+            GaussianUni("x", 1.0)
+        with pytest.raises(ValueError):
+            GaussianUni.check("x", 1.0)
 
 
 class TestSampleMatrix:

@@ -9,9 +9,11 @@ import pytest
 from distsim import (
     BoundaryConditionViolated,
     DomainError,
+    GaussianUni,
     InvalidDistribution,
     JointDensitySpec,
     MomentMismatch,
+    bc_normal_uni,
     g_from_joint,
     integrate_1d,
     price_asset,
@@ -235,6 +237,26 @@ class TestClosedForms:
         rep = verify_stein(spec, lambda t: t ** 3 - t, lambda t: 3.0 * t * t - 1.0,
                            IDENTITY)
         assert rep.lhs == pytest.approx(1.0, abs=1e-9)
+        # the Stein side is second order on one grid; the Richardson step cancels that term
+        assert rep.rhs == pytest.approx(1.0, abs=1e-9)
+
+    def test_independent_product_joint(self):
+        # scalar-only marginals: math.exp fails on arrays, so they are evaluated per node
+        def f_x(t):
+            return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+        def f_y(u):
+            return math.exp(-0.5 * ((u - 1.0) / 1.5) ** 2) / (1.5 * math.sqrt(2.0 * math.pi))
+
+        spec = JointDensitySpec.independent(f_x, f_y, (-12.0, 14.0), 0.0, 1.0)
+        rep = verify_stein(spec, lambda t: t ** 3 - t, lambda t: 3.0 * t * t - 1.0,
+                           IDENTITY)
+        assert rep.lhs == pytest.approx(0.0, abs=1e-9)
+        assert rep.rhs == pytest.approx(0.0, abs=1e-9)
+        # independence: Cov(X, Y) = 0, so the second bridge's lhs is mu_Y * rho = rho
+        _, rep2 = verify_distance_covariance(spec)
+        rho = bc_normal_uni(GaussianUni(0.0, 1.0), GaussianUni(1.0, 2.25)).coefficient
+        assert rep2.lhs == pytest.approx(rho, abs=1e-9)
 
     def test_bridge_equal_marginals(self):
         rep1, rep2 = verify_distance_covariance(JointDensitySpec.bivariate_normal(corr=0.4))
