@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from distsim import (
+    DiscreteDist,
     NLNComponent,
     bc_coefficient_discrete,
     moment_match,
@@ -54,11 +55,11 @@ print("moment check:", [f"{approx.moment(j):.4f}" for j in range(6)])
 print(f"(the 6th moment is NOT matched: {approx.moment(6):.1f} vs 15 true)")
 
 ## Discretize two different SHAPES, then compare the weight vectors.
-## (Cells align by index, so this sees shape, not location: any normal
-## gets the same symmetric weights. An exponential does not.)
+## (Unlabelled weights align by index, so this sees shape, not location: any
+## normal gets the same symmetric weights. An exponential does not. The
+## node-labelled laws of as_discrete_dist() would share no outcome here.)
 expo = moment_match(np.array([1.0, 1.0, 2.0, 6.0, 24.0, 120.0]), 3)
 print(f"\nexponential 3-point fit: nodes {np.round(expo.nodes, 4)}, "
       f"weights {np.round(expo.weights, 4)}")
-rho = bc_coefficient_discrete(approx.as_discrete_dist(),
-                              expo.as_discrete_dist())
+rho = bc_coefficient_discrete(DiscreteDist(approx.weights), DiscreteDist(expo.weights))
 print(f"weight-vector coefficient, normal vs exponential: {rho.coefficient:.4f}")

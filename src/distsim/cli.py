@@ -12,11 +12,12 @@ Subcommands:
 * ``verify stein | bridge | pricing`` -- run the covariance-identity test
   batteries and emit machine-readable reports.
 
-Exit codes: 0 success, 1 input error, 2 numerical failure. All randomized
-subcommands take ``--seed`` (mandatory under ``--strict``) and reruns with
-identical arguments produce byte-identical outputs. KL divergence, where
-printed, is in nats. The ``DISTSIM_THREADS`` environment variable sets the
-pipeline's pairwise-comparison thread count.
+Exit codes: 0 success, 1 input error (a bad flag, choice or missing argument
+too), 2 numerical failure. All randomized subcommands take ``--seed``
+(mandatory under ``--strict``) and reruns with identical arguments produce
+byte-identical outputs. KL divergence, where printed, is in nats. The
+``DISTSIM_THREADS`` environment variable sets the pipeline's
+pairwise-comparison thread count.
 """
 
 from __future__ import annotations
@@ -74,22 +75,15 @@ def _emit(obj, path: str | None) -> None:
         print(text)
 
 
-def _require_seed(args) -> None:
-    if getattr(args, "strict", False) and args.seed is None:
+def _seed(args, seed: int | None) -> int:
+    """``seed``, or 0 when it is missing; a missing seed is refused under
+    ``--strict``."""
+    if seed is None and args.strict:
         raise DomainError("--seed is mandatory in --strict mode for randomized commands")
-
-
-def _seed_of(args) -> int:
-    return 0 if args.seed is None else int(args.seed)
+    return 0 if seed is None else seed
 
 
 # ----------------------------------------------------------------- distance
-
-def _truncated_mvn_distance(a, b, args):
-    _require_seed(args)
-    return bc_truncated_mvn(a, b, QuadConfig(seed=_seed_of(args),
-                                             mc_samples=args.mc_samples))
-
 
 #: exact distribution type -> distance(a, b, args) -> DivergenceValue
 _DISTANCES = {
@@ -97,7 +91,8 @@ _DISTANCES = {
     GaussianUni: lambda a, b, args: bc_normal_uni(a, b),
     GaussianMulti: lambda a, b, args: bc_mvn(a, b),
     TruncGaussianUni: lambda a, b, args: bc_truncated_uni(a, b),
-    TruncGaussianMulti: _truncated_mvn_distance,
+    TruncGaussianMulti: lambda a, b, args: bc_truncated_mvn(
+        a, b, QuadConfig(seed=_seed(args, args.seed), mc_samples=args.mc_samples)),
 }
 
 
@@ -127,17 +122,13 @@ def _cmd_compare(args) -> int:
                    if getattr(args, f.name, None) is not None})
     if args.bounds not in (None, "observed_range"):
         merged["bounds"] = [float(x) for x in args.bounds.split(",")]
-    if getattr(args, "strict", False) and merged.get("seed") is None:
-        raise DomainError("--seed is mandatory in --strict mode for randomized commands")
+    _seed(args, merged.get("seed"))
     cfg = RunConfig.from_dict(merged)
 
-    names = args.names.split(",") if args.names else None
-    if names and len(names) != len(args.csv):
+    names = args.names.split(",") if args.names else [Path(p).stem for p in args.csv]
+    if len(names) != len(args.csv):
         raise DomainError("--names count must match the number of CSV files")
-    groups = [
-        load_group(path, names[i] if names else Path(path).stem)
-        for i, path in enumerate(args.csv)
-    ]
+    groups = [load_group(path, name) for path, name in zip(args.csv, names)]
     result = compare_groups(groups, cfg)
 
     text = json.dumps(result.to_dict(), indent=2, allow_nan=False)
@@ -161,9 +152,8 @@ def _cmd_jl(args) -> int:
         print(jl_min_dimension(args.n, args.eps))
         return 0
     if args.jl_cmd == "project":
-        _require_seed(args)
         data = SampleMatrix.from_csv(args.input)
-        projected = jl_project(data, args.k, _seed_of(args))
+        projected = jl_project(data, args.k, _seed(args, args.seed))
         projected.to_csv(args.output)
         print(f"projected {data.n_obs}x{data.n_vars} -> {projected.n_obs}x{projected.n_vars}")
         return 0
@@ -184,7 +174,7 @@ def _cmd_jl(args) -> int:
 
 def _cmd_approx(args) -> int:
     if args.approx_cmd == "moment-match":
-        if args.moments:
+        if args.moments is not None:
             moms = np.array([float(x) for x in args.moments.split(",")])
         else:
             data = SampleMatrix.from_csv(args.input)
@@ -211,46 +201,38 @@ def _cmd_approx(args) -> int:
 
 # ------------------------------------------------------------------- verify
 
-def _stein_battery(seed: int) -> list[dict]:
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    cases = []
-    polys = [
-        ("t", lambda t: t, lambda t: np.ones_like(np.asarray(t, dtype=float))),
-        ("t^2", lambda t: t * t, lambda t: 2.0 * t),
-        ("t^3-t", lambda t: t ** 3 - t, lambda t: 3.0 * t * t - 1.0),
-    ]
+# Each battery draws its cases from the seeded rng and yields, per case, the
+# case's fields, its report and the residual that the pass rule judges.
+
+_POLYS = (
+    ("t", lambda t: t, lambda t: np.ones_like(np.asarray(t, dtype=float))),
+    ("t^2", lambda t: t * t, lambda t: 2.0 * t),
+    ("t^3-t", lambda t: t ** 3 - t, lambda t: 3.0 * t * t - 1.0),
+)
+
+
+def _stein_cases(rng):
     for _ in range(8):
         corr = float(rng.uniform(-0.9, 0.9))
-        spec = JointDensitySpec.bivariate_normal(corr=corr)
-        name, c, cp = polys[int(rng.integers(len(polys)))]
-        rep = verify_stein(spec, c, cp, lambda u: u)
-        cases.append({"corr": corr, "c": name, **rep.to_dict(),
-                      "pass": rep.residual <= max(1e-3, 3 * rep.combined_error)})
-    return cases
+        name, c, cp = _POLYS[int(rng.integers(len(_POLYS)))]
+        rep = verify_stein(JointDensitySpec.bivariate_normal(corr=corr), c, cp, lambda u: u)
+        yield {"corr": corr, "c": name}, rep, rep.residual
 
 
-def _bridge_battery(seed: int) -> list[dict]:
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    cases = []
+def _bridge_cases(rng):
     for _ in range(6):
         corr = float(rng.uniform(-0.8, 0.8))
         shift = float(rng.uniform(-1.0, 1.0))
         spec = JointDensitySpec.bivariate_normal(mu_y=shift, corr=corr)
         for tag, rep in zip(("cov_form", "kernel_form"),
                             verify_distance_covariance(spec)):
-            cases.append({"corr": corr, "mu_y": shift, "equation": tag,
-                          **rep.to_dict(),
-                          "pass": rep.residual <= max(1e-3, 3 * rep.combined_error)})
-    return cases
+            yield {"corr": corr, "mu_y": shift, "equation": tag}, rep, rep.residual
 
 
-def _pricing_battery(seed: int) -> list[dict]:
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    cases = []
+def _pricing_cases(rng):
     for _ in range(6):
         corr = float(rng.uniform(-0.9, 0.9))
         coefs = rng.uniform(-1.0, 1.0, size=3)
-        spec = JointDensitySpec.bivariate_normal(corr=corr)
 
         def c(t, a=coefs):
             t = np.asarray(t, dtype=float)
@@ -260,18 +242,19 @@ def _pricing_battery(seed: int) -> list[dict]:
             t = np.asarray(t, dtype=float)
             return a[1] + 2.0 * a[2] * t
 
-        rep = price_asset(spec, c, cp)
-        cases.append({"corr": corr, "coeffs": list(coefs), **rep.to_dict(),
-                      "pass": rep.max_residual <= max(1e-3, 3 * rep.combined_error)})
-    return cases
+        rep = price_asset(JointDensitySpec.bivariate_normal(corr=corr), c, cp)
+        yield {"corr": corr, "coeffs": list(coefs)}, rep, rep.max_residual
+
+
+_BATTERIES = {"stein": _stein_cases, "bridge": _bridge_cases, "pricing": _pricing_cases}
 
 
 def _cmd_verify(args) -> int:
-    _require_seed(args)
-    seed = _seed_of(args)
-    battery = {"stein": _stein_battery, "bridge": _bridge_battery,
-               "pricing": _pricing_battery}[args.battery]
-    cases = battery(seed)
+    seed = _seed(args, args.seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    cases = [{**fields, **rep.to_dict(),
+              "pass": residual <= max(1e-3, 3 * rep.combined_error)}
+             for fields, rep, residual in _BATTERIES[args.battery](rng)]
     ok = all(c["pass"] for c in cases)
     _emit({"battery": args.battery, "seed": seed, "cases": cases,
            "all_pass": ok}, args.output)
@@ -288,8 +271,16 @@ _MC_SAMPLES_HELP = ("cap on box-probability samples, split over 12 replicates th
                     "is within 1e-5 of its value")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad usage with :class:`DomainError`, as input errors are refused;
+    ``add_subparsers`` makes every subcommand parser of this class too."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="distsim",
         description="Distribution similarity with dimension reduction.",
         epilog="Distances and KL divergences are in nats (natural logarithm); "
@@ -351,8 +342,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="discrete approximation / mixture density")
     ap_sub = p.add_subparsers(dest="approx_cmd", required=True)
     q = ap_sub.add_parser("moment-match", help="N-point moment-matched distribution")
-    q.add_argument("--moments", default=None, help="comma-separated m_0..m_{2N-1}")
-    q.add_argument("--input", default=None, help="CSV whose column supplies moments")
+    source = q.add_mutually_exclusive_group(required=True)
+    source.add_argument("--moments", help="comma-separated m_0..m_{2N-1}")
+    source.add_argument("--input", help="CSV whose column supplies moments")
     q.add_argument("--column", default=None)
     q.add_argument("--nodes", type=int, required=True)
     q.add_argument("--output", default=None)
@@ -366,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_approx)
 
     p = sub.add_parser("verify", help="run an identity-verification battery")
-    p.add_argument("battery", choices=("stein", "bridge", "pricing"))
+    p.add_argument("battery", choices=_BATTERIES)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_verify)
@@ -375,9 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _NUMERICAL_ERRORS as e:
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -8,7 +8,9 @@ The central quantity is the overlap coefficient
 with the associated divergence ``-ln(rho)``, the metric ``sqrt(1 - rho)``,
 the Hellinger/Matusita distance ``sum (sqrt(p_i) - sqrt(q_i))^2 = 2 - 2 rho``,
 the chi-squared measure and the Kullback-Leibler divergence. KL uses natural
-logarithms (nats) so it shares units with ``-ln(rho)``.
+logarithms (nats) so it shares units with ``-ln(rho)``. Discrete laws are
+compared outcome by outcome: by label when they are labelled, by position
+when they are not.
 
 The continuous coefficient is evaluated by adaptive quadrature and serves as
 the independent cross-check for every closed form in :mod:`distsim.gaussian`.
@@ -82,15 +84,33 @@ class DivergenceValue:
         return cls(rho if rho > 0.0 else _TINY, d)
 
 
-def _aligned(p: DiscreteDist, q: DiscreteDist) -> tuple[np.ndarray, np.ndarray]:
-    if p.k != q.k:
-        raise DimensionMismatch(f"category counts differ: {p.k} vs {q.k}")
-    return p.probs, q.probs
+def _stacked(dists: list[DiscreteDist]) -> np.ndarray:
+    """One row of probabilities per law, its columns the shared outcomes.
+
+    Unlabelled laws pair categories by position. Labelled laws pair them by
+    label, on the union of labels in first-seen order, with mass 0 where a
+    law lacks a label; equal labels in equal order keep the given columns.
+    A labelled law is never compared with an unlabelled one.
+    """
+    if all(d.labels is None for d in dists):
+        if len({d.k for d in dists}) > 1:
+            raise DimensionMismatch(
+                f"category counts differ: {' vs '.join(str(d.k) for d in dists)}")
+        return np.stack([d.probs for d in dists])
+    if any(d.labels is None for d in dists):
+        raise DimensionMismatch("cannot pair the categories of a labelled and an "
+                                "unlabelled distribution")
+    union = dict.fromkeys(label for d in dists for label in d.labels)
+    column = {label: i for i, label in enumerate(union)}
+    out = np.zeros((len(dists), len(union)))
+    for row, d in zip(out, dists):
+        row[[column[label] for label in d.labels]] = d.probs
+    return out
 
 
 def bc_coefficient_discrete(p: DiscreteDist, q: DiscreteDist) -> DivergenceValue:
     """Overlap coefficient ``sum sqrt(p_i q_i)`` and its divergence."""
-    pv, qv = _aligned(p, q)
+    pv, qv = _stacked([p, q])
     rho = float(np.sqrt(pv * qv).sum())
     return DivergenceValue.from_coefficient(rho)
 
@@ -104,14 +124,14 @@ def modified_metric(rho: float) -> float:
 
 def hellinger_discrete(p: DiscreteDist, q: DiscreteDist) -> float:
     """``sum (sqrt(p_i) - sqrt(q_i))^2``; identically ``2 - 2 rho``."""
-    pv, qv = _aligned(p, q)
+    pv, qv = _stacked([p, q])
     d = np.sqrt(pv) - np.sqrt(qv)
     return float((d * d).sum())
 
 
 def chi_squared_discrete(p: DiscreteDist, q: DiscreteDist) -> float:
     """``0.5 * sum (p_i - q_i)^2 / (p_i + q_i)``; empty bins contribute 0."""
-    pv, qv = _aligned(p, q)
+    pv, qv = _stacked([p, q])
     num = (pv - qv) ** 2
     den = pv + qv
     terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
@@ -123,7 +143,7 @@ def kl_discrete(p: DiscreteDist, q: DiscreteDist) -> float:
 
     Uses the convention ``0 * log(0 / q) = 0``. Not symmetric.
     """
-    pv, qv = _aligned(p, q)
+    pv, qv = _stacked([p, q])
     support = pv > 0
     if np.any(support & (qv == 0)):
         return math.inf
@@ -132,7 +152,7 @@ def kl_discrete(p: DiscreteDist, q: DiscreteDist) -> float:
 
 
 def multi_population_coefficient(dists: list[DiscreteDist]) -> float:
-    """Overlap coefficient of M aligned populations.
+    """Overlap coefficient of M populations, aligned as the pairwise measures are.
 
     ``sum_i (p_1i p_2i ... p_Mi)^(1/M)``; reduces to the pairwise
     coefficient for M = 2 and is invariant under permutation of the list
@@ -140,11 +160,7 @@ def multi_population_coefficient(dists: list[DiscreteDist]) -> float:
     """
     if len(dists) < 2:
         raise DomainError("need at least two populations")
-    k = dists[0].k
-    for d in dists[1:]:
-        if d.k != k:
-            raise DimensionMismatch("all distributions must share category count")
-    stacked = np.sort(np.stack([d.probs for d in dists]), axis=0)
+    stacked = np.sort(_stacked(dists), axis=0)
     geo = np.prod(stacked, axis=0) ** (1.0 / len(dists))
     return float(min(geo.sum(), 1.0))
 

@@ -417,12 +417,11 @@ def _pca_path(groups, cfg: RunConfig, fit, notes: list[str]):
     """
     g = len(groups)
     kept = [pca_reduce(grp.data, significant_digits=cfg.sig_digits,
-                       return_truncated=True, transpose_if_needed=False)[1]
+                       return_truncated=True)[1]
             for grp in groups]
     # every count a pair asks of a group is a prefix of one decomposition
     scores = [np.asarray(pca_reduce(grp.data, component_count=max(kept),
-                                    return_truncated=True,
-                                    transpose_if_needed=False)[0].values)
+                                    return_truncated=True)[0].values)
               for grp in groups]
 
     def columns(i: int, count: int) -> np.ndarray:

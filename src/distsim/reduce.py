@@ -10,8 +10,8 @@ extra rescaling; the two conventions coincide and are NOT composed).
 The PCA path reproduces a specific retention procedure: principal
 components of the centered data (no rescaling), keeping ``1 +`` the number
 of successive cumulative-variance increments that stay positive after
-rounding to a given number of digits. Optionally the input is transposed
-first when it has fewer rows than columns, and reconstructed back into the
+rounding to a given number of digits. Rows are observations and stay so:
+the input is never transposed, and it is reconstructed back into the
 original coordinates when a truncated basis is not wanted.
 """
 
@@ -126,8 +126,7 @@ def jl_distortion_report(original, projected, epsilon: float) -> DistortionRepor
 
 def pca_reduce(data, *, significant_digits: int | None = None,
                component_count: int | None = None,
-               return_truncated: bool = False,
-               transpose_if_needed: bool = True) -> tuple[SampleMatrix, int]:
+               return_truncated: bool = False) -> tuple[SampleMatrix, int]:
     """Principal-component reduction with the increment-rounding retention rule.
 
     Exactly one of ``significant_digits`` (retention decided by rounding the
@@ -137,8 +136,7 @@ def pca_reduce(data, *, significant_digits: int | None = None,
     With ``return_truncated`` the retained score columns come back (ordered
     by nonincreasing variance); otherwise the retained components are
     rotated back and the center re-added, giving a matrix of the original
-    shape. ``transpose_if_needed`` flips the input first when it has fewer
-    rows than columns, and flips the result back.
+    shape. Either way the result keeps the input's rows.
 
     Returns the reduced :class:`SampleMatrix` and the retained count.
     """
@@ -150,11 +148,6 @@ def pca_reduce(data, *, significant_digits: int | None = None,
         raise DomainError("component_count must be >= 1")
 
     points, _ = _as_points(data)
-    transposed = False
-    if transpose_if_needed and points.shape[0] < points.shape[1]:
-        points = points.T
-        transposed = True
-
     n_obs, n_vars = points.shape
     center = points.mean(axis=0)
     centered = points - center
@@ -178,9 +171,5 @@ def pca_reduce(data, *, significant_digits: int | None = None,
         labels = tuple(f"pc{i + 1}" for i in range(retained))
     else:
         out = scores[:, :retained] @ vt[:retained] + center
-        labels = ()
-
-    if transposed:
-        out = out.T
         labels = ()
     return SampleMatrix(out, labels), retained

@@ -15,8 +15,10 @@ from distsim import (
     TruncGaussianMulti,
     to_json,
 )
+from distsim import cli
 from distsim.cli import main
 from distsim.pipeline import RunConfig, _fit_discrete
+from distsim.stein import IdentityReport, PriceReport
 
 
 def write(path, text):
@@ -72,6 +74,12 @@ class TestDistance:
         out = capsys.readouterr().out
         assert '"distance": 0.0' in out and "-0.0" not in out
 
+    def test_discrete_pairs_by_label(self, tmp_path, capsys):
+        a = write(tmp_path / "p.json", to_json(DiscreteDist([0.9, 0.1], ("a", "b"))))
+        b = write(tmp_path / "q.json", to_json(DiscreteDist([0.1, 0.9], ("b", "a"))))
+        assert main(["distance", a, b]) == 0
+        assert json.loads(capsys.readouterr().out) == {"coefficient": 1.0, "distance": 0.0}
+
     @pytest.mark.parametrize("text", ['{"type": "GaussianUni", "mu": 0}', "[1, 2]"])
     def test_malformed_json_exits_one(self, tmp_path, capsys, text):
         a = write(tmp_path / "bad.json", text)
@@ -125,6 +133,14 @@ class TestApprox:
         out = json.loads(capsys.readouterr().out)
         assert out["nodes"] == pytest.approx([-math.sqrt(3), 0.0, math.sqrt(3)],
                                              abs=1e-8)
+
+    @pytest.mark.parametrize("source", [[], ["--moments", "1,0,1,0", "--input", "g.csv"]],
+                             ids=["neither", "both"])
+    def test_exactly_one_moment_source(self, source, capsys):
+        assert main(["approx", "moment-match", "--nodes", "2", *source]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: distsim approx moment-match: ")
+        assert "--moments" in err and "--input" in err
 
     def test_invalid_moments_exit_one(self, capsys):
         assert main(["approx", "moment-match", "--moments", "1,1,0.5,0,1,0",
@@ -188,6 +204,53 @@ class TestVerify:
 
     def test_strict_requires_seed(self, capsys):
         assert main(["--strict", "verify", "stein"]) == 1
+
+    # passes: residual 0.5 within 3 x 0.2; fails: residual 1.0 above the 1e-3 floor
+    @pytest.mark.parametrize("battery, name, passing, failing, count", [
+        ("stein", "verify_stein", IdentityReport(1.0, 1.5, 0.5, 0.2),
+         IdentityReport(1.0, 2.0, 1.0, 0.0), 8),
+        ("bridge", "verify_distance_covariance",
+         (IdentityReport(1.0, 1.5, 0.5, 0.2),) * 2,
+         (IdentityReport(1.0, 2.0, 1.0, 0.0), IdentityReport(1.0, 1.5, 0.5, 0.2)), 12),
+        ("pricing", "price_asset",
+         PriceReport((1.0, 1.5, 1.0), 0.5, 0.2, (0.0, 0.0, 0.0, 1.0), 1.0, 1.0),
+         PriceReport((1.0, 2.0, 1.0), 1.0, 0.0, (0.0, 0.0, 0.0, 1.0), 1.0, 1.0), 6),
+    ], ids=["stein", "bridge", "pricing"])
+    def test_failing_case_exits_two(self, monkeypatch, capsys, battery, name, passing,
+                                    failing, count):
+        reports = iter([failing])
+        monkeypatch.setattr(cli, name, lambda *args: next(reports, passing))
+        assert main(["verify", battery, "--seed", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"numerical failure: {battery} battery has failing cases\n"
+        out = json.loads(captured.out)
+        assert out["all_pass"] is False
+        assert [case["pass"] for case in out["cases"]] == [False] + [True] * (count - 1)
+        assert out["cases"][0]["combined_error"] == 0.0
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv, message", [
+        (["compare", "g.csv", "--fit", "bogus"], "distsim compare: argument --fit: invalid"),
+        (["jl", "min-dim", "--n", "x", "--eps", "0.5"], "argument --n: invalid int value"),
+        (["jl", "min-dim", "--eps", "0.5"], "the following arguments are required: --n"),
+        (["verify"], "the following arguments are required: battery"),
+        (["nosuch"], "argument command: invalid choice: 'nosuch'"),
+        (["verify", "stein", "--bogus"], "unrecognized arguments: --bogus"),
+    ], ids=["choice", "int", "required-flag", "required-positional", "command", "unknown"])
+    def test_usage_error_exits_one(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: distsim")
+        assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
 
 class TestCompare:
@@ -309,6 +372,15 @@ class TestCompare:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(bounded["config"]))
         assert run("again", "--config", str(cfg))[0] == text
+
+    def test_strict_seed_from_config(self, group_csvs, tmp_path, capsys):
+        argv = ["--strict", "compare", *group_csvs, "--method", "jl", "--k", "2"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: --seed is mandatory")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        assert main([*argv, "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 3
 
     def test_names_mismatch_rejected(self, group_csvs, capsys):
         assert main(["compare", *group_csvs, "--method", "jl", "--k", "2",

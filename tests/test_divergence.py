@@ -194,6 +194,61 @@ class TestMultiPopulation:
             multi_population_coefficient([dd(1.0)])
 
 
+class TestLabelledAlignment:
+    """Labelled laws are compared outcome by outcome, whatever the order."""
+
+    p = DiscreteDist([0.9, 0.1], ("a", "b"))
+    q = DiscreteDist([0.1, 0.9], ("b", "a"))
+
+    def test_permuted_labels_are_the_same_law(self):
+        v = bc_coefficient_discrete(self.p, self.q)
+        assert v.coefficient == 1.0 and v.distance == 0.0
+        assert hellinger_discrete(self.p, self.q) == 0.0
+        assert chi_squared_discrete(self.p, self.q) == 0.0
+        assert kl_discrete(self.p, self.q) == 0.0
+        assert multi_population_coefficient([self.p, self.q, self.p]) == 1.0
+
+    def test_disjoint_labels_share_no_mass(self):
+        r = DiscreteDist([0.9, 0.1], ("x", "y"))
+        v = bc_coefficient_discrete(DiscreteDist([0.5, 0.5], ("a", "b")), r)
+        assert v.coefficient == 0.0 and v.distance == math.inf
+        assert kl_discrete(self.p, r) == math.inf
+        assert hellinger_discrete(self.p, r) == pytest.approx(2.0, abs=1e-15)
+        assert multi_population_coefficient([self.p, self.q, r]) == 0.0
+
+    def test_missing_label_has_zero_mass(self):
+        # different category counts pair on the union of labels
+        r = DiscreteDist([0.5, 0.25, 0.25], ("b", "c", "d"))
+        v = bc_coefficient_discrete(DiscreteDist([0.5, 0.5], ("a", "b")), r)
+        assert v.coefficient == pytest.approx(0.5, abs=1e-15)
+        assert kl_discrete(r, self.p) == math.inf
+
+    def test_one_sided_labels_refused(self):
+        bare = DiscreteDist([0.9, 0.1])
+        for measure in (bc_coefficient_discrete, hellinger_discrete,
+                        chi_squared_discrete, kl_discrete):
+            with pytest.raises(DimensionMismatch, match="labelled and an unlabelled"):
+                measure(self.p, bare)
+            with pytest.raises(DimensionMismatch, match="labelled and an unlabelled"):
+                measure(bare, self.p)
+        with pytest.raises(DimensionMismatch, match="labelled and an unlabelled"):
+            multi_population_coefficient([self.p, self.q, bare])
+
+    def test_equal_labels_keep_positional_bits(self):
+        rng = np.random.default_rng(12)
+        labels = ("u", "v", "w", "x", "y")
+        for _ in range(50):
+            pv, qv = random_discrete(rng, 5), random_discrete(rng, 5)
+            bare = DiscreteDist(pv), DiscreteDist(qv)
+            named = DiscreteDist(pv, labels), DiscreteDist(qv, labels)
+            assert (bc_coefficient_discrete(*named).coefficient
+                    == bc_coefficient_discrete(*bare).coefficient)
+            for measure in (hellinger_discrete, chi_squared_discrete, kl_discrete):
+                assert measure(*named) == measure(*bare)
+            assert (multi_population_coefficient([*named, named[0]])
+                    == multi_population_coefficient([*bare, bare[0]]))
+
+
 class TestSampleCoefficient:
     def test_identical_counts(self):
         assert sample_coefficient([2, 2], [2, 2]) == 1.0

@@ -534,9 +534,9 @@ class TestPcaFitOnce:
         projected = 0
         for i, j in [(0, 1), (1, 0), (0, 2), (2, 1)]:
             base, kept_i = pca_reduce(groups[i].data, significant_digits=cfg.sig_digits,
-                                      return_truncated=True, transpose_if_needed=False)
+                                      return_truncated=True)
             other, kept_j = pca_reduce(groups[j].data, component_count=kept_i,
-                                       return_truncated=True, transpose_if_needed=False)
+                                       return_truncated=True)
             lead = np.asarray(base.values)
             if kept_j < kept_i:
                 projected += 1
@@ -553,7 +553,7 @@ class TestPcaFitOnce:
         groups = mixed_width_groups(33, widths=(6, 3, 5, 4))
         cfg = RunConfig(method="pca", sig_digits=6, fit="mvn", seed=8)
         kept = [pca_reduce(g.data, significant_digits=cfg.sig_digits,
-                           return_truncated=True, transpose_if_needed=False)[1]
+                           return_truncated=True)[1]
                 for g in groups]
         pairs = [(i, j) for i in range(len(groups)) for j in range(len(groups)) if i != j]
         count = {(i, j): min(kept[i], groups[j].data.n_vars) for i, j in pairs}

@@ -141,14 +141,14 @@ class TestPcaReduce:
     def test_full_rank_roundtrip(self):
         x = np.random.default_rng(3).standard_normal((40, 6))
         out, kept = pca_reduce(SampleMatrix(x), component_count=6,
-                               return_truncated=False, transpose_if_needed=False)
+                               return_truncated=False)
         assert kept == 6
         assert np.max(np.abs(out.values - x)) < 1e-8
 
     def test_rank_one_keeps_single_component(self):
         x = np.outer(np.linspace(1, 3, 25), [1.0, 2.0, -1.0, 0.5])
         out, kept = pca_reduce(SampleMatrix(x), significant_digits=6,
-                               return_truncated=True, transpose_if_needed=False)
+                               return_truncated=True)
         assert kept == 1
         assert out.values.shape == (25, 1)
 
@@ -159,30 +159,33 @@ class TestPcaReduce:
         scales = np.array([10.0, 1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5, 1e-6])
         x = rng.standard_normal((300, 8)) * scales @ basis
         _, kept_coarse = pca_reduce(SampleMatrix(x), significant_digits=2,
-                                    return_truncated=True, transpose_if_needed=False)
+                                    return_truncated=True)
         _, kept_fine = pca_reduce(SampleMatrix(x), significant_digits=6,
-                                  return_truncated=True, transpose_if_needed=False)
+                                  return_truncated=True)
         assert kept_fine > kept_coarse
 
     def test_truncated_scores_have_nonincreasing_variance(self):
         x = np.random.default_rng(5).standard_normal((60, 10)) * np.arange(1, 11)
         out, kept = pca_reduce(SampleMatrix(x), component_count=10,
-                               return_truncated=True, transpose_if_needed=False)
+                               return_truncated=True)
         variances = out.values.var(axis=0)
         assert np.all(np.diff(variances) <= 1e-9)
 
-    def test_transpose_if_needed(self):
+    def test_wide_input_keeps_rows(self):
+        # fewer observations than variables: rows are still the observations
         x = np.random.default_rng(6).standard_normal((5, 30))
-        out, kept = pca_reduce(SampleMatrix(x), component_count=2,
-                               return_truncated=True, transpose_if_needed=True)
-        # transposed to 30x5, reduced to 30x2, transposed back to 2x30
-        assert out.values.shape == (2, 30)
+        out, kept = pca_reduce(SampleMatrix(x), component_count=2, return_truncated=True)
+        assert kept == 2
+        assert out.values.shape == (5, 2)
+        recon, kept = pca_reduce(SampleMatrix(x), component_count=30)
+        assert kept == 5
+        assert np.max(np.abs(recon.values - x)) < 1e-8
 
     def test_reconstruction_restores_center(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((50, 4)) + np.array([10.0, -5.0, 0.0, 3.0])
         out, _ = pca_reduce(SampleMatrix(x), component_count=4,
-                            return_truncated=False, transpose_if_needed=False)
+                            return_truncated=False)
         assert np.allclose(out.values.mean(axis=0), x.mean(axis=0), atol=1e-9)
 
     def test_mode_exclusivity(self):
@@ -194,19 +197,16 @@ class TestPcaReduce:
 
     def test_degenerate_data(self):
         with pytest.raises(DegenerateData):
-            pca_reduce(SampleMatrix(np.ones((5, 3))), component_count=1,
-                       transpose_if_needed=False)
+            pca_reduce(SampleMatrix(np.ones((5, 3))), component_count=1)
 
     def test_count_capped_at_column_count(self):
         x = np.random.default_rng(8).standard_normal((20, 3))
         _, kept = pca_reduce(SampleMatrix(x), component_count=10,
-                             return_truncated=True, transpose_if_needed=False)
+                             return_truncated=True)
         assert kept == 3
 
     def test_deterministic(self):
         x = SampleMatrix(np.random.default_rng(9).standard_normal((30, 5)))
-        a, _ = pca_reduce(x, significant_digits=3, return_truncated=True,
-                          transpose_if_needed=False)
-        b, _ = pca_reduce(x, significant_digits=3, return_truncated=True,
-                          transpose_if_needed=False)
+        a, _ = pca_reduce(x, significant_digits=3, return_truncated=True)
+        b, _ = pca_reduce(x, significant_digits=3, return_truncated=True)
         assert np.array_equal(a.values, b.values)
