@@ -23,7 +23,6 @@ from .core import (
     TruncGaussianUni,
     from_json,
     to_json,
-    validate,
 )
 from .divergence import (
     DivergenceValue,

@@ -249,7 +249,7 @@ class DiscreteApprox:
 
     def as_discrete_dist(self) -> DiscreteDist:
         """Weights as a category distribution (nodes become category labels)."""
-        return DiscreteDist(self.weights, tuple(repr(x) for x in self.nodes))
+        return DiscreteDist(self.weights, tuple(repr(float(x)) for x in self.nodes))
 
 
 def _moments_from_density(f, support, count: int) -> np.ndarray:

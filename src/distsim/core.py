@@ -4,10 +4,7 @@ All distribution containers are immutable after construction, and the
 constructor is the one place their invariants are checked: it raises
 :class:`~distsim.errors.InvalidDistribution` at the first violation, so it
 is impossible to hold an invalid instance that came out of the public API.
-Each distribution type and :class:`SampleMatrix` share one ``check(...)``
-classmethod that reports, as a string (or ``None``) and without raising,
-what construction from the same arguments would raise; the module-level
-:func:`validate` asks it about an existing instance's field values.
+A caller that wants the message builds the object and catches the error.
 
 Truncation bounds use genuine IEEE infinities (``float("inf")``), never
 large-number sentinels, so untruncated limits are exact.
@@ -32,7 +29,7 @@ import math
 import threading
 import warnings
 import weakref
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -52,7 +49,6 @@ __all__ = [
     "QuadResult",
     "ScalarFn",
     "ScalarFn2",
-    "validate",
     "to_json",
     "from_json",
     "read_csv",
@@ -70,8 +66,6 @@ PROB_SUM_RENORM_TOL = 1e-9
 SYMMETRY_TOL = 1e-10
 #: largest |diagonal entry| a DistanceMatrix accepts as zero.
 DIAG_TOL = 1e-9
-#: start of the warning a renormalized DiscreteDist emits.
-_RENORM_WARNING = "probability vector sums to"
 #: CSV cell tokens (stripped, lower-cased) that mean "no value".
 NA_TOKENS = frozenset({"", "na", "nan", "null", "none", "n/a"})
 #: JSON has no literal for an infinity, so one travels as one of these strings.
@@ -145,28 +139,7 @@ def _decode(name: str, kind: str, value):
     raise InvalidDistribution(f"field {name!r} has the wrong JSON type: {value!r:.60}")
 
 
-class _Checked:
-    """A type whose constructor raises :class:`InvalidDistribution` at its first violation."""
-
-    @classmethod
-    def check(cls, *args, **kwargs) -> str | None:
-        """The message construction from these arguments would raise, or ``None``.
-
-        Builds the object and drops it, without the renormalisation warning
-        of :class:`DiscreteDist`, which ``warnings.catch_warnings`` hides for
-        the whole process while it runs. An argument that cannot be coerced
-        to a number raises as construction does.
-        """
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", _RENORM_WARNING, UserWarning)
-            try:
-                cls(*args, **kwargs)
-            except InvalidDistribution as e:
-                return str(e)
-        return None
-
-
-class _Distribution(_Checked):
+class _Distribution:
     """A distribution type whose dataclass fields drive its coercion and JSON form.
 
     Construction turns ``float`` fields into floats and ``np.ndarray`` fields
@@ -234,7 +207,7 @@ class DiscreteDist(_Distribution):
             object.__setattr__(self, "labels", labels)
         if abs(s - 1.0) > PROB_SUM_TOL:
             warnings.warn(
-                f"{_RENORM_WARNING} {s!r}; renormalizing", stacklevel=3
+                f"probability vector sums to {s!r}; renormalizing", stacklevel=3
             )
             object.__setattr__(self, "probs", _freeze(p / s))
 
@@ -263,24 +236,6 @@ class GaussianUni(_Distribution):
         return math.sqrt(self.sigma2)
 
 
-def _usable_cov(cov: np.ndarray, prefix: str = "") -> tuple[float, float]:
-    """:func:`log_det_condition` of a covariance, after its shape, finiteness
-    and symmetry; raises :class:`InvalidDistribution` (``prefix`` + reason)
-    at the first defect, positive definiteness last."""
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        reason = "cov must be a square matrix"
-    elif not np.all(np.isfinite(cov)):
-        reason = "cov must be finite"
-    elif np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
-        reason = "cov is not symmetric"
-    else:
-        log_det, condition = log_det_condition(cov)
-        if not math.isnan(log_det):
-            return log_det, condition
-        reason = "cov is not positive definite"
-    raise InvalidDistribution(prefix + reason)
-
-
 def log_det_condition(cov: np.ndarray) -> tuple[float, float]:
     """``(log det, condition)`` of symmetric ``cov``; ``(nan, inf)`` if not positive definite."""
     vals = np.linalg.eigvalsh(cov)
@@ -300,10 +255,19 @@ class GaussianMulti(_Distribution):
 
     def __post_init__(self):
         super().__post_init__()
+        cov = self.cov
         if self.mu.ndim != 1 or not np.all(np.isfinite(self.mu)):
             raise InvalidDistribution("mu must be a finite 1-D vector")
-        log_det, condition = _usable_cov(self.cov)
-        if self.cov.shape[0] != self.mu.size:
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+            raise InvalidDistribution("cov must be a square matrix")
+        if not np.all(np.isfinite(cov)):
+            raise InvalidDistribution("cov must be finite")
+        if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
+            raise InvalidDistribution("cov is not symmetric")
+        log_det, condition = log_det_condition(cov)
+        if math.isnan(log_det):
+            raise InvalidDistribution("cov is not positive definite")
+        if cov.shape[0] != self.mu.size:
             raise InvalidDistribution("mu and cov dimensions do not match")
         object.__setattr__(self, "log_det", log_det)
         object.__setattr__(self, "condition", condition)
@@ -407,27 +371,30 @@ class OverlapParams:
 class MvnOverlapParams:
     """Multivariate analogue of :class:`OverlapParams`.
 
-    ``m`` and ``S`` are the precision-weighted mean and combined covariance,
-    and ``M`` the nonnegative mean-separation quadratic form.
+    ``m`` and ``S`` are the precision-weighted mean and combined covariance
+    on the common box ``[l, u]``. ``S`` is checked by building the mixture
+    normal ``N(m, 2S)`` once: a refusal comes with ``S: `` before the
+    :class:`GaussianMulti` message. ``mixture`` holds it, set when built,
+    not a field.
     """
 
     l: np.ndarray
     u: np.ndarray
     m: np.ndarray
     S: np.ndarray
-    M: float
 
     def __post_init__(self):
-        _usable_cov(np.asarray(self.S, dtype=float), "S: ")
-        if self.M < 0:
-            raise InvalidDistribution("M must be >= 0")
         for name in ("l", "u", "m", "S"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
-        object.__setattr__(self, "M", float(self.M))
+        try:
+            mixture = GaussianMulti(self.m, 2.0 * self.S)
+        except InvalidDistribution as e:
+            raise InvalidDistribution(f"S: {e}") from None
+        object.__setattr__(self, "mixture", mixture)
 
 
 @dataclass(frozen=True, eq=False)
-class SampleMatrix(_Checked):
+class SampleMatrix:
     """``T`` observations (rows) by ``N`` variables (columns), all finite.
 
     Rows are time/observations and columns are variables throughout the
@@ -568,19 +535,6 @@ class QuadResult:
     def __post_init__(self):
         if not self.error_estimate >= 0:
             raise InvalidDistribution("error_estimate must be >= 0")
-
-
-def validate(dist) -> str | None:
-    """Re-check an existing instance; return the first violation or ``None``.
-
-    Never raises: it asks the type's ``check`` what rebuilding the instance
-    from its field values would raise. An instance built through the public
-    constructors always comes back clean.
-    """
-    check = getattr(type(dist), "check", None)
-    if check is None or not is_dataclass(dist):
-        return f"unsupported type {type(dist).__name__}"
-    return check(*(getattr(dist, f.name) for f in fields(dist)))
 
 
 def to_json(dist) -> str:

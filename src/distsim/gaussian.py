@@ -22,7 +22,8 @@ not one per pair: a :class:`~distsim.core.GaussianMulti` carries the
 log-determinant and condition number of its covariance from when it is
 built, and a truncated normal's :meth:`parent` is one object whose box
 normaliser :func:`~distsim.quadrature.mvn_rect_prob` remembers. Only the
-average covariance's eigenvalues and the overlap box stay per pair.
+average covariance's eigenvalues, the mixture normal (built once, by
+:class:`~distsim.core.MvnOverlapParams`) and the overlap box stay per pair.
 """
 
 from __future__ import annotations
@@ -239,9 +240,7 @@ def mvn_overlap_params(p: TruncGaussianMulti,
     s_mat = np.linalg.inv(prec_sum)
     s_mat = 0.5 * (s_mat + s_mat.T)
     m_vec = np.linalg.solve(prec_sum, prec_p @ p.mu + prec_q @ q.mu)
-    d = p.mu - q.mu
-    big_m = float(d @ np.linalg.solve(p.cov + q.cov, d))
-    return MvnOverlapParams(lo, hi, m_vec, s_mat, max(big_m, 0.0))
+    return MvnOverlapParams(lo, hi, m_vec, s_mat)
 
 
 @dataclass(frozen=True)
@@ -274,8 +273,7 @@ def truncated_mvn_terms(p: TruncGaussianMulti, q: TruncGaussianMulti,
     base = bc_mvn(p.parent(), q.parent()).distance
     prob_p = mvn_rect_prob(p.parent(), p.lower, p.upper, cfg)
     prob_q = mvn_rect_prob(q.parent(), q.lower, q.upper, cfg)
-    mixture = GaussianMulti(ov.m, 2.0 * ov.S)
-    prob_ov = mvn_rect_prob(mixture, ov.l, ov.u, cfg)
+    prob_ov = mvn_rect_prob(ov.mixture, ov.l, ov.u, cfg)
     dist = (base
             + 0.5 * (math.log(prob_p.value) + math.log(prob_q.value))
             - math.log(prob_ov.value))

@@ -54,7 +54,6 @@ from .core import (
     TruncGaussianMulti,
     TruncGaussianUni,
     _encode,
-    log_det_condition,
     read_csv,
 )
 from .divergence import DivergenceValue
@@ -245,30 +244,37 @@ def estimate_mvn(data: SampleMatrix, shrinkage: float = 0.0,
     The covariance is ``(1 - lam) * S + lam * avg_var * I``. If the
     requested ``lam`` leaves the matrix with condition number at or above
     1e10, the smallest larger ladder value that fixes it is used instead
-    (the caller should surface the returned value in run metadata).
+    (the caller should surface the returned value in run metadata). Data
+    whose sample covariance overflows the float range raise
+    :class:`DegenerateData`.
     """
     values = np.asarray(data.values, dtype=float)
     if values.shape[0] < 2:
         raise DegenerateData("need at least two observations")
-    mean = values.mean(axis=0)
-    cov = np.cov(values, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.mean(axis=0)
+        cov = np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
+    if not np.all(np.isfinite(cov)):
+        raise DegenerateData("sample covariance overflows the float range")
     avg_var = float(np.mean(np.diag(cov)))
     if avg_var <= 0.0:
         raise DegenerateData("all columns are constant")
-    shrunk, lam = _shrink(cov, avg_var, shrinkage, "covariance")
-    return GaussianMulti(mean, shrunk), lam
+    return _shrink(mean, cov, avg_var, shrinkage, "covariance")
 
 
-def _shrink(mat: np.ndarray, scale: float, start: float,
-            what: str) -> tuple[np.ndarray, float]:
-    """``(1 - lam) * mat + lam * scale * I`` for the first well-conditioned
-    ``lam`` of the ladder from ``start`` up; returns the matrix and ``lam``."""
+def _shrink(mean: np.ndarray, mat: np.ndarray, scale: float, start: float,
+            what: str) -> tuple[GaussianMulti, float]:
+    """``N(mean, (1 - lam) * mat + lam * scale * I)`` for the first ``lam`` of
+    the ladder from ``start`` up whose normal builds with a condition number
+    below ``MAX_COND``; returns the normal and ``lam``."""
     eye = np.eye(mat.shape[0])
     for lam in sorted({start, *[x for x in SHRINKAGE_LADDER if x >= start]}):
-        shrunk = (1.0 - lam) * mat + lam * scale * eye
-        if log_det_condition(shrunk)[1] < MAX_COND:
-            return shrunk, lam
+        try:
+            fit = GaussianMulti(mean, (1.0 - lam) * mat + lam * scale * eye)
+        except InvalidDistribution:  # not positive definite at this lam
+            continue
+        if fit.condition < MAX_COND:
+            return fit, lam
     raise DegenerateData(f"{what} stayed ill-conditioned through the shrinkage ladder")
 
 
@@ -324,11 +330,11 @@ def _fit_truncated_mvn(name: str, matrix: np.ndarray, cfg: RunConfig,
     fits = [estimate_truncated_uni(matrix[:, j], cfg.bounds) for j in range(k)]
     sds = np.array([f.sigma for f in fits])
     corr = np.atleast_2d(np.corrcoef(matrix, rowvar=False))
-    shrunk, lam = _shrink(corr, 1.0, cfg.shrinkage, "sample correlation")
+    shrunk, lam = _shrink(np.zeros(k), corr, 1.0, cfg.shrinkage, "sample correlation")
     if lam > cfg.shrinkage:
         notes.append(f"{name}: shrinkage raised to {lam}")
     return TruncGaussianMulti(
-        np.array([f.mu for f in fits]), shrunk * np.outer(sds, sds),
+        np.array([f.mu for f in fits]), shrunk.cov * np.outer(sds, sds),
         np.array([f.lower for f in fits]), np.array([f.upper for f in fits]),
     )
 

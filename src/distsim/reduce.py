@@ -136,7 +136,9 @@ def pca_reduce(data, *, significant_digits: int | None = None,
     With ``return_truncated`` the retained score columns come back (ordered
     by nonincreasing variance); otherwise the retained components are
     rotated back and the center re-added, giving a matrix of the original
-    shape. Either way the result keeps the input's rows.
+    shape. Either way the result keeps the input's rows. Data whose
+    component variances overflow the float range raise
+    :class:`DegenerateData`.
 
     Returns the reduced :class:`SampleMatrix` and the retained count.
     """
@@ -153,8 +155,11 @@ def pca_reduce(data, *, significant_digits: int | None = None,
     centered = points - center
     u_mat, svals, vt = np.linalg.svd(centered, full_matrices=False)
     denom = max(n_obs - 1, 1)
-    variances = (svals ** 2) / denom
-    total = float(variances.sum())
+    with np.errstate(over="ignore"):
+        variances = (svals ** 2) / denom
+        total = float(variances.sum())
+    if not math.isfinite(total):
+        raise DegenerateData("component variances overflow the float range")
     if total <= 0.0:
         raise DegenerateData("no variance in any column")
 

@@ -17,8 +17,10 @@ and the three equivalent ways of writing the pricing equation
 ``p = E[m x]`` with ``m = c(f)``.
 
 All double integrals are trapezoid bilinear forms on one tensor grid; every
-reported value is extrapolated from that grid and its every-other-node
-subgrid, whose distance is its error estimate. The one-dimensional
+reported value is the Richardson step from that grid and its
+every-other-node subgrid, and its error estimate is the distance to the
+same step one level coarser, from the every-other and every-fourth node
+subgrids. The one-dimensional
 integrals (marginal spot-checks, ``E[h(Y)]``, the overlap coefficient and
 :func:`g_from_joint`) use :func:`~distsim.quadrature.integrate_1d` at its
 fixed tolerances.
@@ -53,8 +55,8 @@ __all__ = [
     "price_asset",
 ]
 
-#: tensor-grid nodes per axis; odd, so every other node (201 of them) spans the
-#: same box and serves as the half grid of the error estimate.
+#: tensor-grid nodes per axis; 4 * 100 + 1, so every second node (201 of them)
+#: and every fourth (101) span the same box as the half and quarter grids.
 GRID_POINTS = 401
 #: tolerance for the marginal spot-checks and the E[h(Y)] verification.
 MOMENT_TOL = 1e-4
@@ -202,15 +204,17 @@ class _Grid:
         return float((c_prime * self.w) @ self.upper_tail @ ((h - mu_y) * self.w))
 
 
-def _two_resolution(spec: JointDensitySpec, compute):
+def _richardson(spec: JointDensitySpec, compute):
     """``compute`` on one evaluation of the joint, as the Richardson step
-    ``(4 fine - half) / 3`` that cancels the trapezoid's ``O(h^2)`` term, and
-    ``|fine - half|``; ``half`` uses every other node of the same grid."""
+    ``R(fine, half) = (4 fine - half) / 3`` that cancels the trapezoid's
+    ``O(h^2)`` term, and its error estimate ``|R(fine, half) - R(half,
+    quarter)|``; ``half`` and ``quarter`` use every second and every fourth
+    node of the same grid."""
     xs = np.linspace(*spec.support, GRID_POINTS)
     joint = np.maximum(_on_arrays(spec.f_xy, *np.meshgrid(xs, xs, indexing="ij")), 0.0)
-    fine = compute(_Grid(xs, joint))
-    half = compute(_Grid(xs[::2], joint[::2, ::2]))
-    return (4.0 * fine - half) / 3.0, abs(fine - half)
+    fine, half, quarter = (compute(_Grid(xs[::s], joint[::s, ::s])) for s in (1, 2, 4))
+    value = (4.0 * fine - half) / 3.0
+    return value, abs(value - (4.0 * half - quarter) / 3.0)
 
 
 def _marginal_overlap(spec: JointDensitySpec) -> float:
@@ -297,7 +301,7 @@ def verify_stein(spec: JointDensitySpec, c: ScalarFn, c_prime: ScalarFn,
         _check_boundary(grid, h_vals, spec.mu_y)
         return np.array([lhs, grid.stein(_on_arrays(c_prime, grid.xs), h_vals, spec.mu_y)])
 
-    vals, errs = _two_resolution(spec, sides_on)
+    vals, errs = _richardson(spec, sides_on)
     lhs, rhs = float(vals[0]), float(vals[1])
     return IdentityReport(lhs, rhs, abs(lhs - rhs), float(errs[0] + errs[1]))
 
@@ -355,7 +359,7 @@ def verify_distance_covariance(spec: JointDensitySpec, h: ScalarFn | None = None
         stein_term = grid.stein(1.0 - ratio_prime(xs), h_vals, spec.mu_y)
         return np.array([cov_c_h, cov_x_h, grid.expect(r_vals, h_vals), stein_term])
 
-    vals, errs = _two_resolution(spec, pieces_on)
+    vals, errs = _richardson(spec, pieces_on)
     cov_c_h, cov_x_h, e_ratio_h, stein_term = vals
 
     lhs1, rhs1 = cov_c_h, cov_x_h - e_ratio_h + spec.mu_y * rho
@@ -397,7 +401,7 @@ def price_asset(spec: JointDensitySpec, c: ScalarFn, c_prime: ScalarFn) -> Price
                          grid.expect(cr_vals) * e_x, cov_fx, grid.expect(r_vals, xs),
                          grid.expect(cr_vals, xs)])
 
-    vals, errs = _two_resolution(spec, routes_on)
+    vals, errs = _richardson(spec, routes_on)
     rho = _marginal_overlap(spec)
 
     routes = (float(vals[0]), float(vals[1]), float(vals[2]))

@@ -1,5 +1,6 @@
 """Mixture density, grid convolution, and moment-matched approximations."""
 
+import json
 import math
 
 import mpmath
@@ -20,6 +21,7 @@ from distsim import (
     moment_match,
     nln_density,
     nln_sum_density,
+    to_json,
 )
 from distsim import approx, quadrature
 from distsim.approx import DEFAULT_GRID_SPAN
@@ -397,6 +399,11 @@ class TestMomentMatch:
 
 
 class TestDiscreteApprox:
+    def test_category_labels_read_back_as_the_nodes(self):
+        match = moment_match(STD_NORMAL_MOMENTS, 3)
+        labels = json.loads(to_json(match.as_discrete_dist()))["labels"]
+        assert [float(label) for label in labels] == match.nodes.tolist()
+
     def test_invariants(self):
         with pytest.raises(InvalidDistribution):
             DiscreteApprox(np.array([0.0, 0.0]), np.array([0.5, 0.5]))

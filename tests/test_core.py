@@ -1,4 +1,4 @@
-"""Domain type invariants, validation reporting, and serialization."""
+"""Domain type invariants, constructor messages, and serialization."""
 
 import dataclasses
 import gc
@@ -7,7 +7,6 @@ import math
 import sys
 import threading
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from distsim import (
     TruncGaussianUni,
     from_json,
     to_json,
-    validate,
 )
 from distsim.core import ObjectMemo
 from distsim.pipeline import estimate_mvn
@@ -82,13 +80,12 @@ MALFORMED = [
     (SampleMatrix, (np.zeros((0, 2)),), "matrix must have at least one row and one column"),
     (SampleMatrix, ([[1.0, NAN]],), "all entries must be finite"),
     (SampleMatrix, (np.ones((2, 2)), ("a",)), "labels length does not match column count"),
-    (MvnOverlapParams, ([0.0], [1.0], [0.0], [1.0], 0.0), "S: cov must be a square matrix"),
-    (MvnOverlapParams, ([0.0], [1.0], [0.0], [[INF]], 0.0), "S: cov must be finite"),
-    (MvnOverlapParams, ([0.0] * 2, [1.0] * 2, [0.0] * 2, [[1.0, 0.3], [0.1, 1.0]], 0.0),
+    (MvnOverlapParams, ([0.0], [1.0], [0.0], [1.0]), "S: cov must be a square matrix"),
+    (MvnOverlapParams, ([0.0], [1.0], [0.0], [[INF]]), "S: cov must be finite"),
+    (MvnOverlapParams, ([0.0] * 2, [1.0] * 2, [0.0] * 2, [[1.0, 0.3], [0.1, 1.0]]),
      "S: cov is not symmetric"),
-    (MvnOverlapParams, ([0.0] * 2, [1.0] * 2, [0.0] * 2, SINGULAR, 0.0),
+    (MvnOverlapParams, ([0.0] * 2, [1.0] * 2, [0.0] * 2, SINGULAR),
      "S: cov is not positive definite"),
-    (MvnOverlapParams, ([0.0], [1.0], [0.0], [[1.0]], -0.5), "M must be >= 0"),
 ]
 
 
@@ -96,11 +93,9 @@ class TestDiscreteDist:
     def test_valid(self):
         d = DiscreteDist([0.5, 0.5])
         assert d.k == 2
-        assert validate(d) is None
 
     def test_sum_violation_reported(self):
-        assert "sum" in DiscreteDist.check([0.6, 0.6])
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(InvalidDistribution, match="sum"):
             DiscreteDist([0.6, 0.6])
 
     def test_negative_rejected(self):
@@ -131,15 +126,6 @@ class TestDiscreteDist:
         with pytest.raises(InvalidDistribution, match="labels must be distinct"):
             from_json('{"type": "DiscreteDist", "probs": [0.5, 0.5], "labels": ["a", "a"]}')
 
-    def test_check_does_not_warn_but_construction_does(self):
-        probs = [0.5 + 3e-10, 0.5]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert DiscreteDist.check(probs) is None
-        assert caught == []
-        with pytest.warns(UserWarning, match="renormalizing"):
-            DiscreteDist(probs)
-
 
 class TestGaussianTypes:
     def test_uni_variance_positive(self):
@@ -149,9 +135,7 @@ class TestGaussianTypes:
 
     def test_multi_zero_eigenvalue_reported(self):
         cov = np.array([[1.0, 1.0], [1.0, 1.0]])
-        msg = GaussianMulti.check([0.0, 0.0], cov)
-        assert "positive definite" in msg
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(InvalidDistribution, match="positive definite"):
             GaussianMulti([0.0, 0.0], cov)
 
     def test_multi_log_det_and_condition_match_numpy(self):
@@ -191,23 +175,21 @@ class TestGaussianTypes:
 
 
 class TestConstructionChecks:
-    """Construction is the one place invariants are checked; ``check`` reports it."""
+    """Construction is the one place invariants are checked."""
 
     @pytest.mark.parametrize("cls, args, message", MALFORMED,
                              ids=[f"{c.__name__}-{i}" for i, (c, _, _) in enumerate(MALFORMED)])
-    def test_check_and_constructor_report_the_first_violation(self, cls, args, message):
+    def test_constructor_reports_the_first_violation(self, cls, args, message):
         with pytest.raises(InvalidDistribution) as info:
             cls(*args)
         assert str(info.value) == message
-        if cls is not MvnOverlapParams:  # an internal type, without ``check``
-            assert cls.check(*args) == message
 
     @pytest.mark.parametrize("build, calls", [
         (lambda: GaussianMulti(np.zeros(3), np.diag([1.0, 2.0, 3.0])), 1),
         (lambda: TruncGaussianMulti(np.zeros(3), np.diag([1.0, 2.0, 3.0]),
                                     -np.ones(3), np.ones(3)), 1),
         (lambda: estimate_mvn(SampleMatrix(
-            np.random.default_rng(5).standard_normal((250, 10)))), 2),
+            np.random.default_rng(5).standard_normal((250, 10)))), 1),
     ], ids=["GaussianMulti", "TruncGaussianMulti", "estimate_mvn"])
     def test_covariance_decompositions_per_build(self, monkeypatch, build, calls):
         seen = []
@@ -216,16 +198,9 @@ class TestConstructionChecks:
         build()
         assert len(seen) == calls
 
-    def test_check_of_a_valid_input_is_none(self):
-        assert GaussianMulti.check([0.0, 1.0], EYE2) is None
-        assert TruncGaussianUni.check(0.0, 1.0, -1.0) is None
-        assert SampleMatrix.check(np.ones((2, 3)), ("a", "b", "c")) is None
-
     def test_uncoercible_value_raises_as_construction_does(self):
         with pytest.raises(ValueError):
             GaussianUni("x", 1.0)
-        with pytest.raises(ValueError):
-            GaussianUni.check("x", 1.0)
 
 
 class TestSampleMatrix:
@@ -353,17 +328,7 @@ class TestSerialization:
             from_json(text)
 
 
-class TestValidateAndMisc:
-    def test_validate_ok_for_constructed(self):
-        assert validate(GaussianUni(0.0, 1.0)) is None
-        assert validate(SampleMatrix(np.ones((2, 2)))) is None
-
-    def test_validate_reports_unsupported_types(self):
-        m = DistanceMatrix(("a", "b"), np.zeros((2, 2)))
-        assert validate(m) == "unsupported type DistanceMatrix"
-        assert validate(3.0) == "unsupported type float"
-        assert validate(GaussianUni) == "unsupported type type"
-
+class TestMisc:
     def test_overlap_params_guard(self):
         with pytest.raises(InvalidDistribution):
             OverlapParams(1.0, 0.5, 0.0, 1.0)

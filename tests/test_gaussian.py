@@ -334,6 +334,18 @@ class TestPairInvariantMemo:
         assert len(calls) == 1
         assert np.array_equal(calls[0], 0.5 * (p.cov + q.cov))
 
+    def test_truncated_terms_make_eight_lapack_calls(self, monkeypatch):
+        p, q = self.truncated_fits(45, count=2)
+        truncated_mvn_terms(p, q, CFG)  # remembers both box normalisers
+        calls = []
+        for name in ("inv", "solve", "eigvalsh", "cholesky"):
+            def counted(*args, name=name, original=getattr(np.linalg, name)):
+                calls.append(name)
+                return original(*args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        truncated_mvn_terms(p, q, CFG)
+        assert sorted(calls) == ["cholesky"] + ["eigvalsh"] * 2 + ["inv"] * 3 + ["solve"] * 2
+
     def test_conditioning_label_follows_operand_position(self):
         bad = GaussianMulti([0, 0], np.diag([1.0, 1e-13]))
         good = GaussianMulti([0, 0], np.eye(2))
@@ -381,12 +393,14 @@ class TestTruncatedMvn:
 
     def test_symmetric_given_seed(self):
         rng = np.random.default_rng(17)
-        p = TruncGaussianMulti(rng.uniform(-0.3, 0.3, 2), random_pd(rng, 2),
-                               [-1.0, -1.5], [1.5, 1.0])
-        q = TruncGaussianMulti(rng.uniform(-0.3, 0.3, 2), random_pd(rng, 2),
-                               [-1.2, -0.8], [1.1, 1.4])
-        assert (bc_truncated_mvn(p, q, CFG).distance
-                == bc_truncated_mvn(q, p, CFG).distance)
+        for k in [2, 3, 4, 5, 6] * 12:  # 60 pairs
+            p, q = (TruncGaussianMulti(rng.uniform(-0.3, 0.3, k), random_pd(rng, k),
+                                       rng.uniform(-2.0, -0.5, k), rng.uniform(0.5, 2.0, k))
+                    for _ in range(2))
+            pq, qp = mvn_overlap_params(p, q), mvn_overlap_params(q, p)
+            assert np.array_equal(pq.m, qp.m) and np.array_equal(pq.S, qp.S)
+            assert (bc_truncated_mvn(p, q, CFG).distance
+                    == bc_truncated_mvn(q, p, CFG).distance)
 
     def test_mvn_overlap_params_structure(self):
         p = TruncGaussianMulti([0, 0], np.eye(2), [-1, -1], [1, 1])
@@ -397,7 +411,9 @@ class TestTruncatedMvn:
         # S = (P_p + P_q)^-1 for the two precisions
         want_s = np.linalg.inv(np.linalg.inv(np.eye(2)) + np.linalg.inv(2 * np.eye(2)))
         assert np.allclose(ov.S, want_s, atol=1e-12)
-        assert ov.M >= 0
+        # the mixture normal N(m, 2S), built once with the parameters
+        assert np.array_equal(ov.mixture.mu, ov.m)
+        assert np.array_equal(ov.mixture.cov, 2.0 * ov.S)
 
 
 class TestTruncationInequality:

@@ -109,6 +109,13 @@ class TestEstimateMvn:
         with pytest.raises(DegenerateData):
             estimate_mvn(SampleMatrix(np.ones((30, 3))), 0.0)
 
+    def test_overflowing_second_moments_refused_without_warning(self):
+        x = np.random.default_rng(0).standard_normal((50, 3)) * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateData, match="overflow"):
+                estimate_mvn(SampleMatrix(x))
+
 
 def scaled_residual(fit, x) -> float:
     """Largest of the mean gap in sd units and the relative variance gap."""

@@ -1,6 +1,7 @@
 """Random projection bound/map/report and the PCA retention procedure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,13 @@ class TestPcaReduce:
     def test_degenerate_data(self):
         with pytest.raises(DegenerateData):
             pca_reduce(SampleMatrix(np.ones((5, 3))), component_count=1)
+
+    def test_overflowing_variances_refused_without_warning(self):
+        x = np.random.default_rng(0).standard_normal((50, 3)) * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateData, match="overflow"):
+                pca_reduce(SampleMatrix(x), significant_digits=3)
 
     def test_count_capped_at_column_count(self):
         x = np.random.default_rng(8).standard_normal((20, 3))

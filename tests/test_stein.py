@@ -240,6 +240,19 @@ class TestClosedForms:
         # the Stein side is second order on one grid; the Richardson step cancels that term
         assert rep.rhs == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("corr", [-0.64, -0.3, 0.0, 0.5, 0.9])
+    def test_error_estimate_tracks_the_true_error(self, corr):
+        # Cov[c(X), Y] for c = t, t^2, t^3 - t is corr, 0 and 2 corr
+        spec = JointDensitySpec.bivariate_normal(corr=corr)
+        for c, c_prime, exact in ((IDENTITY, ONES, corr),
+                                  (lambda t: t * t, lambda t: 2.0 * t, 0.0),
+                                  (lambda t: t ** 3 - t, lambda t: 3.0 * t * t - 1.0,
+                                   2.0 * corr)):
+            rep = verify_stein(spec, c, c_prime, IDENTITY)
+            true = abs(rep.lhs - exact) + abs(rep.rhs - exact)
+            assert true <= max(10 * rep.combined_error, 1e-13)
+            assert rep.combined_error <= max(10 * true, 1e-13)
+
     def test_independent_product_joint(self):
         # scalar-only marginals: math.exp fails on arrays, so they are evaluated per node
         def f_x(t):
