@@ -32,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .approx import NLNComponent, _sample_moments, moment_match, nln_sum_density
+from .approx import (DEFAULT_GRID_POINTS, DEFAULT_GRID_SPAN, NLNComponent, _sample_moments,
+                     moment_match, nln_sum_density)
 from .core import (
     DiscreteDist,
     GaussianMulti,
@@ -53,7 +54,7 @@ from .errors import (
     NonConvergence,
 )
 from .gaussian import bc_mvn, bc_normal_uni, bc_truncated_mvn, bc_truncated_uni
-from .pipeline import RunConfig, compare_groups, load_group
+from .pipeline import _FAMILIES, RunConfig, compare_groups, load_group
 from .quadrature import QuadConfig
 from .reduce import jl_distortion_report, jl_min_dimension, jl_project
 from .stein import (
@@ -308,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sig-digits", dest="sig_digits", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--fit", choices=("mvn", "truncated", "discrete"), default=None)
+    p.add_argument("--fit", choices=_FAMILIES, default=None)
     p.add_argument("--bounds", default=None,
                    help="'observed_range' or 'lower,upper' for the truncated fit")
     p.add_argument("--nodes", dest="n_nodes", type=int, default=None,
@@ -352,8 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k", required=True, help="comma-separated reduced dimensions")
     q.add_argument("--mu-y", dest="mu_y", required=True)
     q.add_argument("--sigma-y", dest="sigma_y", required=True)
-    q.add_argument("--points", type=int, default=4096)
-    q.add_argument("--span", type=float, default=12.0)
+    q.add_argument("--points", type=int, default=DEFAULT_GRID_POINTS)
+    q.add_argument("--span", type=float, default=DEFAULT_GRID_SPAN)
     q.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_approx)
 

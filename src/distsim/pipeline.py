@@ -19,7 +19,9 @@ only compares. The PCA path does its iteration-invariant work once per run:
 a group is decomposed at most twice (retention rule, then every score
 column a pair needs) and fitted once per column count; each iteration then
 only fits a first group projected to match its pair, inside the pair, and
-compares.
+compares. Either path hands each iteration's pairs and their distance to
+``compare_groups``, which alone maps the pairs and fills the matrix; every
+map and pair seed is a child of the iteration seed (``_child_seed``).
 
 Fits: multivariate normal with diagonal shrinkage; truncated multivariate
 normal assembled from per-column truncated fits plus the sample
@@ -370,7 +372,11 @@ _FAMILIES = {
 def _log_returns(values: np.ndarray) -> np.ndarray:
     if np.any(values <= 0):
         raise DomainError("log returns need strictly positive levels")
-    return np.log(values[1:] / values[:-1])
+    with np.errstate(over="ignore", divide="ignore"):
+        returns = np.log(values[1:] / values[:-1])
+    if not np.isfinite(returns).all():
+        raise DegenerateData("log returns overflow the float range")
+    return returns
 
 
 def _thread_count() -> int:
@@ -389,40 +395,41 @@ def _map(fn, items: list) -> list:
         return list(pool.map(fn, items))
 
 
-def _jl_iteration(groups, k: int, fit, iter_seed: np.random.SeedSequence,
-                  distance) -> np.ndarray:
-    """One projection round: one map per source dimension, one fit per group."""
+def _child_seed(parent: np.random.SeedSequence, *key: int) -> np.uint32:
+    """First word of the sequence whose spawn key extends ``parent``'s by ``key``."""
+    return np.random.SeedSequence(
+        entropy=parent.entropy, spawn_key=parent.spawn_key + key).generate_state(1)[0]
+
+
+def _jl_path(groups, k: int, fit):
+    """Return the per-iteration step: unordered pairs ``i < j`` and their
+    distance, after fitting every group once, projected with the map of its
+    source dimension ``d`` (seed ``_child_seed(iter_seed, d)``)."""
     g = len(groups)
-    maps: dict[int, int] = {}
-    fits = []
-    for grp in groups:
-        d = grp.data.n_vars
-        if d not in maps:
-            maps[d] = np.random.SeedSequence(
-                entropy=iter_seed.entropy, spawn_key=iter_seed.spawn_key + (d,)
-            ).generate_state(1)[0]
-        projected = jl_project(grp.data, k, maps[d])
-        fits.append(fit(grp.name, np.asarray(projected.values)))
-
-    values = np.zeros((g, g))
     pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
-    for (i, j), dist in zip(pairs, _map(lambda p: distance(fits[p[0]], fits[p[1]]),
-                                        pairs)):
-        values[i, j] = values[j, i] = dist
-    return values
+
+    def iteration(iter_seed: np.random.SeedSequence, distance):
+        fits = [fit(grp.name, np.asarray(jl_project(
+                    grp.data, k, _child_seed(iter_seed, grp.data.n_vars)).values))
+                for grp in groups]
+        return pairs, lambda pair: distance(fits[pair[0]], fits[pair[1]])
+
+    return iteration
 
 
-def _pca_path(groups, cfg: RunConfig, fit, notes: list[str]):
-    """Decompose and fit once; return the per-iteration step.
+def _pca_path(groups, sig_digits: int, fit, notes: list[str]):
+    """Decompose and fit once; return the per-iteration step: ordered pairs
+    ``i != j`` in row-major order and their distance.
 
     Ordered pairs ``i -> j``: group j keeps as many leading components as
     group i's retention rule does; if j has fewer, i's scores are projected
-    down to j's count with a per-pair seeded map. Only that projection and
-    the distances depend on the iteration, so the retention counts, the
-    score decompositions and the ``(group, count)`` fits are made here once.
+    down to j's count with a per-pair map (seed ``_child_seed(iter_seed, 7,
+    i, j)``). Only that projection and the distances depend on the
+    iteration, so the retention counts, the score decompositions and the
+    ``(group, count)`` fits are made here once.
     """
     g = len(groups)
-    kept = [pca_reduce(grp.data, significant_digits=cfg.sig_digits,
+    kept = [pca_reduce(grp.data, significant_digits=sig_digits,
                        return_truncated=True)[1]
             for grp in groups]
     # every count a pair asks of a group is a prefix of one decomposition
@@ -441,25 +448,19 @@ def _pca_path(groups, cfg: RunConfig, fit, notes: list[str]):
     fits = dict(zip(needed, _map(lambda key: fit(groups[key[0]].name, columns(*key)),
                                  needed)))
 
-    def iteration(iter_seed: np.random.SeedSequence, distance) -> np.ndarray:
+    def iteration(iter_seed: np.random.SeedSequence, distance):
         def one(pair):
             i, j = pair
             c = count[pair]
             if c == kept[i]:
                 return distance(fits[i, c], fits[j, c])
-            seed = np.random.SeedSequence(
-                entropy=iter_seed.entropy, spawn_key=iter_seed.spawn_key + (7, i, j),
-            ).generate_state(1)[0]
             notes.append(f"{groups[i].name}->{groups[j].name}: first group projected "
                          f"from {kept[i]} to {c} columns to match the second")
-            lead = fit(groups[i].name,
-                       np.asarray(jl_project(columns(i, kept[i]), c, seed)))
+            lead = fit(groups[i].name, np.asarray(jl_project(
+                columns(i, kept[i]), c, _child_seed(iter_seed, 7, i, j))))
             return distance(lead, fits[j, c])
 
-        values = np.zeros((g, g))
-        for (i, j), dist in zip(pairs, _map(one, pairs)):
-            values[i, j] = dist
-        return values
+        return pairs, one
 
     return iteration
 
@@ -482,36 +483,32 @@ def compare_groups(groups: Sequence[GroupDataset], cfg: RunConfig) -> Comparison
         raise DimensionMismatch(f"groups disagree on observation count: {t_counts}")
 
     if cfg.log_returns:
-        groups = [
-            GroupDataset(g.name, SampleMatrix(_log_returns(np.asarray(g.data.values)),
-                                              g.data.labels))
-            for g in groups
-        ]
+        groups = [GroupDataset(g.name, SampleMatrix(
+            _log_returns(np.asarray(g.data.values)), g.data.labels)) for g in groups]
 
-    t_obs = groups[0].data.n_obs
     notes: list[str] = []
-    if cfg.method == "jl":
-        k = cfg.k if cfg.k is not None else jl_min_dimension(t_obs, cfg.epsilon)
-        if cfg.k is None:
-            notes.append(f"projection dimension {k} derived from epsilon={cfg.epsilon}")
-    else:
-        k = None
-
-    root = np.random.SeedSequence(cfg.seed)
-    iter_seeds = root.spawn(cfg.iterations)
-    matrices = []
-    argmins = []
     fit_family, distance_family = _FAMILIES[cfg.fit]
     fit = partial(fit_family, cfg=cfg, notes=notes)
     sym = cfg.method == "jl"
     if sym:
-        iteration = partial(_jl_iteration, groups, k, fit)
+        k = cfg.k
+        if k is None:
+            k = jl_min_dimension(groups[0].data.n_obs, cfg.epsilon)
+            notes.append(f"projection dimension {k} derived from epsilon={cfg.epsilon}")
+        iteration = _jl_path(groups, k, fit)
     else:
-        iteration = _pca_path(groups, cfg, fit, notes)
-    for it in range(cfg.iterations):
+        iteration = _pca_path(groups, cfg.sig_digits, fit, notes)
+
+    matrices, argmins = [], []
+    for iter_seed in np.random.SeedSequence(cfg.seed).spawn(cfg.iterations):
         distance = partial(distance_family, quad=QuadConfig(
-            seed=int(iter_seeds[it].generate_state(1)[0]), mc_samples=cfg.mc_samples))
-        values = iteration(iter_seeds[it], distance)
+            seed=int(iter_seed.generate_state(1)[0]), mc_samples=cfg.mc_samples))
+        pairs, pair_distance = iteration(iter_seed, distance)
+        values = np.zeros((len(names), len(names)))
+        for (i, j), dist in zip(pairs, _map(pair_distance, pairs)):
+            values[i, j] = dist
+            if sym:
+                values[j, i] = dist
         matrices.append(DistanceMatrix(tuple(names), values, symmetric=sym))
         off = values + np.diag(np.full(len(names), math.inf))
         i, j = np.unravel_index(int(np.argmin(off)), off.shape)

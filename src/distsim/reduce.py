@@ -137,7 +137,7 @@ def pca_reduce(data, *, significant_digits: int | None = None,
     by nonincreasing variance); otherwise the retained components are
     rotated back and the center re-added, giving a matrix of the original
     shape. Either way the result keeps the input's rows. Data whose
-    component variances overflow the float range raise
+    centring or component variances overflow the float range raise
     :class:`DegenerateData`.
 
     Returns the reduced :class:`SampleMatrix` and the retained count.
@@ -151,12 +151,13 @@ def pca_reduce(data, *, significant_digits: int | None = None,
 
     points, _ = _as_points(data)
     n_obs, n_vars = points.shape
-    center = points.mean(axis=0)
-    centered = points - center
-    u_mat, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    denom = max(n_obs - 1, 1)
-    with np.errstate(over="ignore"):
-        variances = (svals ** 2) / denom
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = points.mean(axis=0)
+        centered = points - center
+        if not np.isfinite(centered).all():
+            raise DegenerateData("centring the data overflows the float range")
+        u_mat, svals, vt = np.linalg.svd(centered, full_matrices=False)
+        variances = (svals ** 2) / max(n_obs - 1, 1)
         total = float(variances.sum())
     if not math.isfinite(total):
         raise DegenerateData("component variances overflow the float range")

@@ -321,6 +321,24 @@ class TestCompare:
         assert main(["compare", *group_csvs, "--config", str(cfg), "--shrinkage", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["shrinkage"] == 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_pca_centring_overflow_exits_one(self, tmp_path, capsys):
+        big1 = write(tmp_path / "big1.csv",
+                     "a,b,c\n1.7e308,1,2\n-1.7e308,2,1\n1.7e308,3,5\n0,1.5,2.5\n")
+        big2 = write(tmp_path / "big2.csv", "a,b,c\n1,2,3\n2,1,5\n4,3,1\n0,2,2\n")
+        assert main(["compare", big1, big2, "--method", "pca", "--fit", "mvn",
+                     "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflow" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_log_returns_overflow_exits_one(self, tmp_path, capsys):
+        levels = write(tmp_path / "levels.csv", "a,b\n1e-300,1\n1e300,2\n1e-300,3\n1.0,4\n")
+        assert main(["compare", levels, levels, "--names", "x,y", "--method", "jl",
+                     "--k", "2", "--log-returns", "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "log returns overflow" in err
+
     def test_pca_path(self, group_csvs, capsys):
         assert main(["compare", *group_csvs, "--method", "pca",
                      "--sig-digits", "2", "--fit", "mvn", "--seed", "2"]) == 0

@@ -302,6 +302,34 @@ class TestCompareGroupsJl:
         # identical returns after scaling: distance collapses to zero
         assert res.matrices[0].values[0, 1] < 1e-8
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_log_returns_leaving_the_float_range_refused(self):
+        levels = np.array([[1e-300, 1.0], [1e300, 2.0], [1e-300, 3.0], [1.0, 4.0]])
+        groups = [GroupDataset(name, SampleMatrix(levels)) for name in "AB"]
+        cfg = RunConfig(method="jl", k=2, fit="mvn", seed=1, log_returns=True)
+        with pytest.raises(DegenerateData, match="log returns overflow"):
+            compare_groups(groups, cfg)
+
+    def test_each_iteration_maps_each_dimension_by_its_seed(self):
+        # iteration seed it, source dimension d: the map's seed is the first word
+        # of SeedSequence(entropy=it.entropy, spawn_key=it.spawn_key + (d,))
+        groups = mixed_width_groups(36, widths=(5, 3, 5, 4))
+        cfg = RunConfig(method="jl", k=3, fit="mvn", seed=12, iterations=2)
+        matrices = compare_groups(groups, cfg).matrices
+        for matrix, it in zip(matrices, np.random.SeedSequence(cfg.seed).spawn(2)):
+            fits = []
+            for grp in groups:
+                seed = np.random.SeedSequence(
+                    entropy=it.entropy, spawn_key=it.spawn_key + (grp.data.n_vars,),
+                ).generate_state(1)[0]
+                projected = jl_project(np.asarray(grp.data.values), cfg.k, seed)
+                fits.append(pipeline._fit_mvn(grp.name, projected, cfg, []))
+            for i in range(len(groups)):
+                for j in range(len(groups)):
+                    want = 0.0 if i == j else gaussian.bc_mvn(fits[i], fits[j]).distance
+                    assert matrix.values[i, j] == want
+        assert not np.array_equal(matrices[0].values, matrices[1].values)
+
 
 class TestCompareGroupsPca:
     def test_full_matrix_reported(self):

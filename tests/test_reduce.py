@@ -207,6 +207,19 @@ class TestPcaReduce:
             with pytest.raises(DegenerateData, match="overflow"):
                 pca_reduce(SampleMatrix(x), significant_digits=3)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_column_means_refused(self):
+        x = np.random.default_rng(0).standard_normal((50, 3)) * 1.5e307
+        with pytest.raises(DegenerateData, match="overflow"):
+            pca_reduce(x, significant_digits=3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_centring_refused_before_the_svd(self):
+        # the mean is finite, but -1.7e308 minus it is not: the SVD of -inf stalls
+        x = np.array([[1.7e308, 1, 2], [-1.7e308, 2, 1], [1.7e308, 3, 5], [0, 1.5, 2.5]])
+        with pytest.raises(DegenerateData, match="overflow"):
+            pca_reduce(SampleMatrix(x), significant_digits=3)
+
     def test_count_capped_at_column_count(self):
         x = np.random.default_rng(8).standard_normal((20, 3))
         _, kept = pca_reduce(SampleMatrix(x), component_count=10,
