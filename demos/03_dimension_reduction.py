@@ -40,16 +40,6 @@ basis = np.linalg.qr(rng.standard_normal((12, 12)))[0]
 data = SampleMatrix(rng.standard_normal((400, 12)) * np.sqrt(spectrum) @ basis.T)
 
 for digits in (2, 4, 6):
-    reduced, kept = pca_reduce(data, significant_digits=digits,
-                               return_truncated=True)
+    scores, kept = pca_reduce(data, significant_digits=digits)
     print(f"\nsignificant digits = {digits}: retained {kept} of 12 components")
-    print(f"  score variances: {np.round(reduced.values.var(axis=0), 4)}")
-
-## Reconstruction instead of scores: full rank round-trips losslessly
-recon, kept = pca_reduce(data, component_count=12, return_truncated=False)
-print(f"\nfull-rank reconstruction error: "
-      f"{np.max(np.abs(recon.values - data.values)):.2e}")
-
-## Fixed component count caps at what the data offers
-_, kept = pca_reduce(data, component_count=50, return_truncated=True)
-print(f"asked for 50 components, data offers {kept}")
+    print(f"  score variances: {np.round(scores.values[:, :kept].var(axis=0), 4)}")

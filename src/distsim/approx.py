@@ -36,6 +36,7 @@ from scipy.special import wrightomega
 
 from .core import DiscreteDist, _freeze
 from .errors import (
+    DegenerateData,
     DensityOverflow,
     DomainError,
     GridTooCoarse,
@@ -263,12 +264,16 @@ def _sample_moments(matrix: np.ndarray, count: int) -> np.ndarray:
     """Raw sample moments ``m_0 .. m_{count-1}``, one row per column of ``matrix``.
 
     Powers are running products, ``x^p = x^(p-1) x``: no element goes through ``pow``.
+    Moments past the float range raise :class:`DegenerateData`.
     """
     cols = np.ascontiguousarray(np.asarray(matrix).T, dtype=float)
     moms, power = np.empty((cols.shape[0], count)), np.ones_like(cols)
-    for p in range(count):
-        moms[:, p] = power.mean(axis=1)
-        power = power * cols
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(count):
+            moms[:, p] = power.mean(axis=1)
+            power = power * cols
+    if not np.isfinite(moms).all():
+        raise DegenerateData("raw moments overflow the float range")
     return moms
 
 

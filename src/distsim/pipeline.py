@@ -16,8 +16,8 @@ distance matrix between fitted distributions, either by
 
 Each random-projection iteration reduces and fits every group once, then
 only compares. The PCA path does its iteration-invariant work once per run:
-a group is decomposed at most twice (retention rule, then every score
-column a pair needs) and fitted once per column count; each iteration then
+a group is decomposed once (its retention count and every score column a
+pair needs) and fitted once per column count; each iteration then
 only fits a first group projected to match its pair, inside the pair, and
 compares. Either path hands each iteration's pairs and their distance to
 ``compare_groups``, which alone maps the pairs and fills the matrix; every
@@ -409,8 +409,8 @@ def _jl_path(groups, k: int, fit):
     pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
 
     def iteration(iter_seed: np.random.SeedSequence, distance):
-        fits = [fit(grp.name, np.asarray(jl_project(
-                    grp.data, k, _child_seed(iter_seed, grp.data.n_vars)).values))
+        fits = [fit(grp.name, jl_project(np.asarray(grp.data.values), k,
+                                         _child_seed(iter_seed, grp.data.n_vars)))
                 for grp in groups]
         return pairs, lambda pair: distance(fits[pair[0]], fits[pair[1]])
 
@@ -429,16 +429,13 @@ def _pca_path(groups, sig_digits: int, fit, notes: list[str]):
     ``(group, count)`` fits are made here once.
     """
     g = len(groups)
-    kept = [pca_reduce(grp.data, significant_digits=sig_digits,
-                       return_truncated=True)[1]
-            for grp in groups]
-    # every count a pair asks of a group is a prefix of one decomposition
-    scores = [np.asarray(pca_reduce(grp.data, component_count=max(kept),
-                                    return_truncated=True)[0].values)
-              for grp in groups]
+    # every count a pair asks of a group is a prefix of its one decomposition
+    reduced = [pca_reduce(grp.data, significant_digits=sig_digits) for grp in groups]
+    scores = [np.asarray(matrix.values) for matrix, _ in reduced]
+    kept = [n for _, n in reduced]
 
     def columns(i: int, count: int) -> np.ndarray:
-        # a contiguous copy, like a decomposition returns, so fits see one layout
+        # a contiguous copy of the leading columns, so every fit sees one layout
         return np.ascontiguousarray(scores[i][:, :count])
 
     pairs = [(i, j) for i in range(g) for j in range(g) if i != j]

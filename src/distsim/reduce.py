@@ -11,8 +11,8 @@ The PCA path reproduces a specific retention procedure: principal
 components of the centered data (no rescaling), keeping ``1 +`` the number
 of successive cumulative-variance increments that stay positive after
 rounding to a given number of digits. Rows are observations and stay so:
-the input is never transposed, and it is reconstructed back into the
-original coordinates when a truncated basis is not wanted.
+the input is never transposed, and the result is the scores of every
+component, of which the retained count are the leading columns.
 """
 
 from __future__ import annotations
@@ -124,39 +124,27 @@ def jl_distortion_report(original, projected, epsilon: float) -> DistortionRepor
     )
 
 
-def pca_reduce(data, *, significant_digits: int | None = None,
-               component_count: int | None = None,
-               return_truncated: bool = False) -> tuple[SampleMatrix, int]:
-    """Principal-component reduction with the increment-rounding retention rule.
+def pca_reduce(data, *, significant_digits: int) -> tuple[SampleMatrix, int]:
+    """Principal-component scores with the increment-rounding retention rule.
 
-    Exactly one of ``significant_digits`` (retention decided by rounding the
-    successive cumulative-variance increments to that many digits) or
-    ``component_count`` must be given. Data is centered, never rescaled.
-
-    With ``return_truncated`` the retained score columns come back (ordered
-    by nonincreasing variance); otherwise the retained components are
-    rotated back and the center re-added, giving a matrix of the original
-    shape. Either way the result keeps the input's rows. Data whose
-    centring or component variances overflow the float range raise
-    :class:`DegenerateData`.
-
-    Returns the reduced :class:`SampleMatrix` and the retained count.
+    Data is centered, never rescaled. Returns the scores of every component
+    (columns ``pc1 .. pcN`` with ``N = min(n_obs, n_vars)``, ordered by
+    nonincreasing variance, rows kept as the input's) and the retained count:
+    ``1 +`` the number of successive cumulative-variance increments that stay
+    positive after rounding to ``significant_digits`` digits. Keeping ``c``
+    components keeps the first ``c`` columns. Data whose centring or
+    component variances overflow the float range raise :class:`DegenerateData`.
     """
-    if (significant_digits is None) == (component_count is None):
-        raise DomainError("give exactly one of significant_digits / component_count")
-    if significant_digits is not None and significant_digits < 1:
+    if significant_digits < 1:
         raise DomainError("significant_digits must be >= 1")
-    if component_count is not None and component_count < 1:
-        raise DomainError("component_count must be >= 1")
 
     points, _ = _as_points(data)
-    n_obs, n_vars = points.shape
+    n_obs = points.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        center = points.mean(axis=0)
-        centered = points - center
+        centered = points - points.mean(axis=0)
         if not np.isfinite(centered).all():
             raise DegenerateData("centring the data overflows the float range")
-        u_mat, svals, vt = np.linalg.svd(centered, full_matrices=False)
+        u_mat, svals, _ = np.linalg.svd(centered, full_matrices=False)
         variances = (svals ** 2) / max(n_obs - 1, 1)
         total = float(variances.sum())
     if not math.isfinite(total):
@@ -164,18 +152,8 @@ def pca_reduce(data, *, significant_digits: int | None = None,
     if total <= 0.0:
         raise DegenerateData("no variance in any column")
 
-    if component_count is not None:
-        retained = min(component_count, n_vars, svals.size)
-    else:
-        cumulative = np.cumsum(variances / total)
-        increments = np.round(np.diff(cumulative), significant_digits)
-        retained = int(np.sum(increments > 0)) + 1
-
-    scores = u_mat * svals
-    if return_truncated:
-        out = scores[:, :retained]
-        labels = tuple(f"pc{i + 1}" for i in range(retained))
-    else:
-        out = scores[:, :retained] @ vt[:retained] + center
-        labels = ()
-    return SampleMatrix(out, labels), retained
+    cumulative = np.cumsum(variances / total)
+    increments = np.round(np.diff(cumulative), significant_digits)
+    retained = int(np.sum(increments > 0)) + 1
+    labels = tuple(f"pc{i + 1}" for i in range(svals.size))
+    return SampleMatrix(u_mat * svals, labels), retained

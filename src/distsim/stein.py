@@ -200,8 +200,19 @@ class _Grid:
         return float((a * self.w) @ self.joint @ (b * self.w))
 
     def stein(self, c_prime, h, mu_y: float) -> float:
-        """``integral c'(r) (h(u) - mu_Y) [integral_r^b f(t, u) dt] dr du``."""
-        return float((c_prime * self.w) @ self.upper_tail @ ((h - mu_y) * self.w))
+        """``integral c'(r) (h(u) - mu_Y) [integral_r^b f(t, u) dt] dr du``.
+
+        Raises :class:`BoundaryConditionViolated` unless ``g f`` vanishes at
+        the upper support edge, as the identity behind the term assumes.
+        """
+        centred = h - mu_y
+        edge = np.max(np.abs(centred) * self.upper_tail[-2, :])
+        if edge > 1e-6:
+            raise BoundaryConditionViolated(
+                f"g*f does not vanish at the upper support edge (level {edge:.3e}); "
+                "widen the clipping box"
+            )
+        return float((c_prime * self.w) @ self.upper_tail @ (centred * self.w))
 
 
 def _richardson(spec: JointDensitySpec, compute):
@@ -275,15 +286,6 @@ def g_from_joint(spec: JointDensitySpec, h: ScalarFn, r: float, u,
     return float(out) if out.ndim == 0 else out
 
 
-def _check_boundary(grid: _Grid, h_vals: np.ndarray, mu_y: float) -> None:
-    edge = np.max(np.abs(h_vals - mu_y) * grid.upper_tail[-2, :])
-    if edge > 1e-6:
-        raise BoundaryConditionViolated(
-            f"g*f does not vanish at the upper support edge (level {edge:.3e}); "
-            "widen the clipping box"
-        )
-
-
 def verify_stein(spec: JointDensitySpec, c: ScalarFn, c_prime: ScalarFn,
                  h: ScalarFn) -> IdentityReport:
     """Check ``Cov[c(X), h(Y)] = E[c'(X) g(X, Y)]`` by double quadrature.
@@ -298,7 +300,6 @@ def verify_stein(spec: JointDensitySpec, c: ScalarFn, c_prime: ScalarFn,
         c_vals = _on_arrays(c, grid.xs)
         h_vals = _on_arrays(h, grid.xs)
         lhs = grid.expect(c_vals, h_vals) - grid.expect(c_vals) * grid.expect(1.0, h_vals)
-        _check_boundary(grid, h_vals, spec.mu_y)
         return np.array([lhs, grid.stein(_on_arrays(c_prime, grid.xs), h_vals, spec.mu_y)])
 
     vals, errs = _richardson(spec, sides_on)
@@ -392,7 +393,6 @@ def price_asset(spec: JointDensitySpec, c: ScalarFn, c_prime: ScalarFn) -> Price
         e_c, e_x = grid.expect(c_vals), grid.expect(1.0, xs)
         direct = grid.expect(c_vals, xs)
         cov = direct - e_c * e_x
-        _check_boundary(grid, xs, spec.mu_y)
         stein_term = grid.stein(_on_arrays(c_prime, xs), xs, spec.mu_y)
         r_vals = ratio(xs)
         cr_vals = xs - r_vals

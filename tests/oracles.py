@@ -192,3 +192,11 @@ def random_discrete(rng, k):
     """Random probability vector of length k (Dirichlet-flat)."""
     p = rng.dirichlet(np.ones(k))
     return p / p.sum()
+
+
+def pca_scores(x) -> np.ndarray:
+    """Scores of every principal component: ``u * s`` from the thin SVD of the
+    column-centred data, by definition (rows stay the observations)."""
+    x = np.asarray(x, dtype=float)
+    u, s, _ = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+    return u * s

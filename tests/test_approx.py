@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from distsim import (
+    DegenerateData,
     DensityOverflow,
     DiscreteApprox,
     DomainError,
@@ -385,6 +386,12 @@ class TestMomentMatch:
             xs = [mpmath.mpf(float(x)) for x in column]
             want = [float(mpmath.fsum(x ** p for x in xs) / len(xs)) for p in range(8)]
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sample_moments_overflow_refused(self):
+        column = np.random.default_rng(0).standard_normal(30) * 1e80
+        with pytest.raises(DegenerateData, match="raw moments overflow"):
+            approx._sample_moments(column[:, None], 6)
 
     def test_leading_moment_must_be_one(self):
         with pytest.raises(DomainError):

@@ -15,7 +15,7 @@ from distsim import (
     TruncGaussianMulti,
     to_json,
 )
-from distsim import cli
+from distsim import cli, errors
 from distsim.cli import main
 from distsim.pipeline import RunConfig, _fit_discrete
 from distsim.stein import IdentityReport, PriceReport
@@ -177,6 +177,21 @@ class TestApprox:
         assert out["nodes"] == list(fit[1].nodes)
         assert out["weights"] == list(fit[1].weights)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ["compare", "{a}", "{b}", "--method", "jl", "--k", "2", "--fit", "discrete",
+         "--seed", "1"],
+        ["approx", "moment-match", "--input", "{a}", "--nodes", "3"],
+    ], ids=["compare", "moment-match"])
+    def test_raw_moment_overflow_exits_one(self, tmp_path, capsys, argv):
+        rng = np.random.default_rng(0)
+        paths = {}
+        for name in "ab":
+            paths[name] = tmp_path / f"{name}.csv"
+            SampleMatrix(rng.standard_normal((30, 3)) * 1e80).to_csv(paths[name])
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        assert capsys.readouterr().err == "error: raw moments overflow the float range\n"
+
     def test_nln_density_dump(self, tmp_path):
         out = tmp_path / "grid.csv"
         assert main(["approx", "nln-density", "--k", "1,1", "--mu-y", "0,0",
@@ -227,6 +242,21 @@ class TestVerify:
         assert out["all_pass"] is False
         assert [case["pass"] for case in out["cases"]] == [False] + [True] * (count - 1)
         assert out["cases"][0]["combined_error"] == 0.0
+
+
+@pytest.mark.parametrize("name", [n for n in errors.__all__
+                                  if issubclass(getattr(errors, n), errors.DistsimError)])
+def test_error_hierarchy_decides_exit_code(monkeypatch, capsys, name):
+    cls = getattr(errors, name)
+
+    def refuse(*args):
+        raise cls("refused")
+
+    monkeypatch.setattr(cli, "jl_min_dimension", refuse)
+    numerical = issubclass(cls, ArithmeticError)
+    assert main(["jl", "min-dim", "--n", "10", "--eps", "0.5"]) == (2 if numerical else 1)
+    prefix = "numerical failure" if numerical else "error"
+    assert capsys.readouterr().err == f"{prefix}: refused\n"
 
 
 class TestUsage:

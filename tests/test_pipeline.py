@@ -27,7 +27,7 @@ from distsim import (
     load_group,
 )
 
-from oracles import truncated_moments_mp
+from oracles import pca_scores, truncated_moments_mp
 
 
 def write_csv(path, header, rows):
@@ -568,11 +568,10 @@ class TestPcaFitOnce:
         quad = QuadConfig(seed=int(iter_seed.generate_state(1)[0]))
         projected = 0
         for i, j in [(0, 1), (1, 0), (0, 2), (2, 1)]:
-            base, kept_i = pca_reduce(groups[i].data, significant_digits=cfg.sig_digits,
-                                      return_truncated=True)
-            other, kept_j = pca_reduce(groups[j].data, component_count=kept_i,
-                                       return_truncated=True)
-            lead = np.asarray(base.values)
+            kept_i = pca_reduce(groups[i].data, significant_digits=cfg.sig_digits)[1]
+            other = pca_scores(groups[j].data.values)
+            kept_j = min(kept_i, other.shape[1])
+            lead = np.ascontiguousarray(pca_scores(groups[i].data.values)[:, :kept_i])
             if kept_j < kept_i:
                 projected += 1
                 seed = np.random.SeedSequence(
@@ -580,16 +579,14 @@ class TestPcaFitOnce:
                 ).generate_state(1)[0]
                 lead = np.asarray(jl_project(lead, kept_j, seed))
             fit_i = fit_fn(groups[i].name, lead, cfg, [])
-            fit_j = fit_fn(groups[j].name, np.asarray(other.values), cfg, [])
+            fit_j = fit_fn(groups[j].name, np.ascontiguousarray(other[:, :kept_j]), cfg, [])
             assert distance_fn(fit_i, fit_j, quad) == matrix[i, j]
         assert projected > 0
 
     def test_each_group_decomposed_and_fitted_once(self, monkeypatch):
         groups = mixed_width_groups(33, widths=(6, 3, 5, 4))
         cfg = RunConfig(method="pca", sig_digits=6, fit="mvn", seed=8)
-        kept = [pca_reduce(g.data, significant_digits=cfg.sig_digits,
-                           return_truncated=True)[1]
-                for g in groups]
+        kept = [pca_reduce(g.data, significant_digits=cfg.sig_digits)[1] for g in groups]
         pairs = [(i, j) for i in range(len(groups)) for j in range(len(groups)) if i != j]
         count = {(i, j): min(kept[i], groups[j].data.n_vars) for i, j in pairs}
         projected = sum(count[p] < kept[p[0]] for p in pairs)
@@ -598,7 +595,7 @@ class TestPcaFitOnce:
         calls = counting(monkeypatch, pipeline, ["pca_reduce", "estimate_mvn"])
         compare_groups(groups, cfg)
         assert projected > 0
-        assert calls["pca_reduce"] <= 2 * len(groups)
+        assert calls["pca_reduce"] == len(groups)
         assert calls["estimate_mvn"] <= len(fit_keys) + projected
         assert calls["estimate_mvn"] < 2 * len(pairs)
 
@@ -612,7 +609,7 @@ class TestPcaFitOnce:
         calls = counting(monkeypatch, pipeline, ["pca_reduce", "estimate_mvn"])
         res = compare_groups(groups, cfg)
         assert sum("projected" in note for note in res.notes) == 3
-        assert calls == {"pca_reduce": 6, "estimate_mvn": 5 + 3 * iterations}
+        assert calls == {"pca_reduce": 3, "estimate_mvn": 5 + 3 * iterations}
 
 
 def truncated_run(groups, iterations=1):

@@ -20,6 +20,8 @@ from distsim import (
     pca_reduce,
 )
 
+from oracles import pca_scores
+
 
 def bound_value(n, eps):
     return 4.0 * math.log(n) / (eps ** 2 / 2 - eps ** 3 / 3)
@@ -139,19 +141,19 @@ class TestJLConfig:
 
 
 class TestPcaReduce:
-    def test_full_rank_roundtrip(self):
-        x = np.random.default_rng(3).standard_normal((40, 6))
-        out, kept = pca_reduce(SampleMatrix(x), component_count=6,
-                               return_truncated=False)
-        assert kept == 6
-        assert np.max(np.abs(out.values - x)) < 1e-8
+    @pytest.mark.parametrize("shape, rank", [((40, 6), 6), ((5, 30), 5), ((25, 4), 1)],
+                             ids=["tall", "wide", "rank-one"])
+    def test_scores_equal_the_svd_oracle(self, shape, rank):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+        out, _ = pca_reduce(SampleMatrix(x + 3.0), significant_digits=3)
+        assert np.array_equal(out.values, pca_scores(x + 3.0))
 
     def test_rank_one_keeps_single_component(self):
         x = np.outer(np.linspace(1, 3, 25), [1.0, 2.0, -1.0, 0.5])
-        out, kept = pca_reduce(SampleMatrix(x), significant_digits=6,
-                               return_truncated=True)
+        out, kept = pca_reduce(SampleMatrix(x), significant_digits=6)
         assert kept == 1
-        assert out.values.shape == (25, 1)
+        assert out.values.shape == (25, 4)
 
     def test_retention_depends_on_digits(self):
         rng = np.random.default_rng(4)
@@ -159,46 +161,30 @@ class TestPcaReduce:
         basis = rng.standard_normal((8, 8))
         scales = np.array([10.0, 1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5, 1e-6])
         x = rng.standard_normal((300, 8)) * scales @ basis
-        _, kept_coarse = pca_reduce(SampleMatrix(x), significant_digits=2,
-                                    return_truncated=True)
-        _, kept_fine = pca_reduce(SampleMatrix(x), significant_digits=6,
-                                  return_truncated=True)
+        _, kept_coarse = pca_reduce(SampleMatrix(x), significant_digits=2)
+        _, kept_fine = pca_reduce(SampleMatrix(x), significant_digits=6)
         assert kept_fine > kept_coarse
 
     def test_truncated_scores_have_nonincreasing_variance(self):
         x = np.random.default_rng(5).standard_normal((60, 10)) * np.arange(1, 11)
-        out, kept = pca_reduce(SampleMatrix(x), component_count=10,
-                               return_truncated=True)
+        out, kept = pca_reduce(SampleMatrix(x), significant_digits=3)
         variances = out.values.var(axis=0)
         assert np.all(np.diff(variances) <= 1e-9)
 
     def test_wide_input_keeps_rows(self):
         # fewer observations than variables: rows are still the observations
         x = np.random.default_rng(6).standard_normal((5, 30))
-        out, kept = pca_reduce(SampleMatrix(x), component_count=2, return_truncated=True)
-        assert kept == 2
-        assert out.values.shape == (5, 2)
-        recon, kept = pca_reduce(SampleMatrix(x), component_count=30)
-        assert kept == 5
-        assert np.max(np.abs(recon.values - x)) < 1e-8
+        out, kept = pca_reduce(SampleMatrix(x), significant_digits=3)
+        assert kept <= 5
+        assert out.values.shape == (5, 5)
 
-    def test_reconstruction_restores_center(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((50, 4)) + np.array([10.0, -5.0, 0.0, 3.0])
-        out, _ = pca_reduce(SampleMatrix(x), component_count=4,
-                            return_truncated=False)
-        assert np.allclose(out.values.mean(axis=0), x.mean(axis=0), atol=1e-9)
-
-    def test_mode_exclusivity(self):
-        x = SampleMatrix(np.ones((3, 3)) + np.eye(3))
+    def test_digits_below_one_refused(self):
         with pytest.raises(DomainError):
-            pca_reduce(x, significant_digits=3, component_count=2)
-        with pytest.raises(DomainError):
-            pca_reduce(x)
+            pca_reduce(SampleMatrix(np.ones((3, 3)) + np.eye(3)), significant_digits=0)
 
     def test_degenerate_data(self):
         with pytest.raises(DegenerateData):
-            pca_reduce(SampleMatrix(np.ones((5, 3))), component_count=1)
+            pca_reduce(SampleMatrix(np.ones((5, 3))), significant_digits=3)
 
     def test_overflowing_variances_refused_without_warning(self):
         x = np.random.default_rng(0).standard_normal((50, 3)) * 1e200
@@ -220,14 +206,14 @@ class TestPcaReduce:
         with pytest.raises(DegenerateData, match="overflow"):
             pca_reduce(SampleMatrix(x), significant_digits=3)
 
-    def test_count_capped_at_column_count(self):
-        x = np.random.default_rng(8).standard_normal((20, 3))
-        _, kept = pca_reduce(SampleMatrix(x), component_count=10,
-                             return_truncated=True)
-        assert kept == 3
+    @pytest.mark.parametrize("shape", [(20, 3), (3, 20)], ids=["tall", "wide"])
+    def test_returns_min_of_rows_and_columns(self, shape):
+        x = np.random.default_rng(8).standard_normal(shape)
+        out, _ = pca_reduce(SampleMatrix(x), significant_digits=3)
+        assert out.labels == ("pc1", "pc2", "pc3")
 
     def test_deterministic(self):
         x = SampleMatrix(np.random.default_rng(9).standard_normal((30, 5)))
-        a, _ = pca_reduce(x, significant_digits=3, return_truncated=True)
-        b, _ = pca_reduce(x, significant_digits=3, return_truncated=True)
+        a, _ = pca_reduce(x, significant_digits=3)
+        b, _ = pca_reduce(x, significant_digits=3)
         assert np.array_equal(a.values, b.values)

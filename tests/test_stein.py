@@ -32,6 +32,14 @@ def bound(rep):
     return max(1e-3, 3 * rep.combined_error)
 
 
+def uniform_square() -> JointDensitySpec:
+    """Independent uniforms on (0, 1): the marginals are consistent, but
+    ``g f`` does not vanish at the upper edge, so the identity's premise fails."""
+    uniform = lambda x: np.where((np.asarray(x) >= 0) & (np.asarray(x) <= 1),  # noqa: E731
+                                 1.0, 0.0)
+    return JointDensitySpec.independent(uniform, uniform, (0.0, 1.0), 0.5, 0.5)
+
+
 class TestJointDensitySpec:
     def test_marginal_consistency_enforced(self):
         wrong_marginal = lambda t: normal_pdf(t, 2.0, 1.0)  # noqa: E731
@@ -178,13 +186,8 @@ class TestVerifyStein:
             assert rep.residual <= bound(rep)
 
     def test_boundary_violation_detected(self):
-        # uniform joint: marginals are consistent but g*f does not vanish
-        # at the upper edge, so the identity's premise fails
-        uniform = lambda x: np.where((np.asarray(x) >= 0) & (np.asarray(x) <= 1),  # noqa: E731
-                                     1.0, 0.0)
-        spec = JointDensitySpec.independent(uniform, uniform, (0.0, 1.0), 0.5, 0.5)
         with pytest.raises(BoundaryConditionViolated):
-            verify_stein(spec, IDENTITY, ONES, IDENTITY)
+            verify_stein(uniform_square(), IDENTITY, ONES, IDENTITY)
 
     def test_mean_mismatch_rejected(self):
         spec = JointDensitySpec.bivariate_normal(corr=0.2)
@@ -320,8 +323,16 @@ class TestBridge:
         with pytest.raises(MomentMismatch):
             verify_distance_covariance(dataclasses.replace(spec, mu_y=0.5))
 
+    def test_boundary_violation_detected(self):
+        with pytest.raises(BoundaryConditionViolated):
+            verify_distance_covariance(uniform_square())
+
 
 class TestPriceAsset:
+    def test_boundary_violation_detected(self):
+        with pytest.raises(BoundaryConditionViolated):
+            price_asset(uniform_square(), IDENTITY, ONES)
+
     def test_independent_price_is_product(self):
         spec = JointDensitySpec.bivariate_normal(mu_y=2.0, corr=0.0)
         c = lambda t: 1.0 + 0.5 * t * t  # noqa: E731
