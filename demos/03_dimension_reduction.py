@@ -42,4 +42,4 @@ data = SampleMatrix(rng.standard_normal((400, 12)) * np.sqrt(spectrum) @ basis.T
 for digits in (2, 4, 6):
     scores, kept = pca_reduce(data, significant_digits=digits)
     print(f"\nsignificant digits = {digits}: retained {kept} of 12 components")
-    print(f"  score variances: {np.round(scores.values[:, :kept].var(axis=0), 4)}")
+    print(f"  score variances: {np.round(scores[:, :kept].var(axis=0), 4)}")

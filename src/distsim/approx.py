@@ -126,20 +126,17 @@ class GridDensity:
                    delimiter=",", header="x,density", comments="")
 
 
-def _gaussian_pdf(u: np.ndarray, variance: float) -> np.ndarray:
-    return np.exp(-0.5 * u * u / variance) / math.sqrt(2.0 * math.pi * variance)
-
-
 def nln_density(u, comp: NLNComponent):
     """Density of ``X exp(Y)`` at ``u``, a scalar or an array; even in ``u``.
 
     Returns a float for a scalar ``u`` and an array of ``u``'s shape
-    otherwise. At ``sigma_y = 0`` the exact ``N(0, 1/k)`` density is
-    returned. Otherwise the mixing integral runs over ``+-10 sigma_y`` about
-    each entry's own peak (tail mass below 8e-24), for every entry of ``u``
-    at once, as one :func:`~distsim.quadrature.integrate_1d` call. Each
-    entry's integrand is divided by its peak, so every entry is held to the
-    same relative tolerance, deep tails included. NaN raises
+    otherwise. Where ``sigma_y^2`` is zero or below the smallest normal
+    float, ``Y`` is the constant ``mu_y`` and the exact ``N(0, e^(2 mu_y) /
+    k)`` density is returned. Otherwise the mixing integral runs over ``+-10
+    sigma_y`` about each entry's own peak (tail mass below 8e-24), for every
+    entry of ``u`` at once, as one :func:`~distsim.quadrature.integrate_1d`
+    call. Each entry's integrand is divided by its peak, so every entry is
+    held to the same relative tolerance, deep tails included. NaN raises
     :class:`DomainError`; ``+-inf`` gives 0. The density peaks at ``u = 0``
     at ``sqrt(k / 2 pi) exp(sigma_y^2 / 2 - mu_y)``; a component for which
     that value or its exponential factor exceeds the float range (``sigma_y``
@@ -148,17 +145,22 @@ def nln_density(u, comp: NLNComponent):
     arr = np.asarray(u, dtype=float)
     if np.isnan(arr).any():
         raise DomainError("u must not be NaN")
-    if comp.sigma_y == 0.0:
-        out = _gaussian_pdf(arr, 1.0 / comp.k)
+    k, mu, s2 = comp.k, comp.mu_y, comp.sigma_y * comp.sigma_y
+    # exp(-mu_y - rise) and the density are largest at u = 0: one check covers all u
+    if 0.5 * s2 - mu + max(0.0, 0.5 * math.log(k / (2.0 * math.pi))) > _LOG_FLOAT_MAX:
+        raise DensityOverflow(f"the density of {comp} at u = 0 exceeds the float range")
+    # |u| = inf becomes the largest float, where the density underflows to 0
+    mags = np.minimum(np.abs(arr), np.finfo(float).max).ravel()
+    if s2 < np.finfo(float).tiny:  # X e^mu_y has density e^-mu_y f_X(u e^-mu_y)
+        z, var = mags * math.exp(-mu), 1.0 / k
+        out = math.exp(-mu) * (np.exp(-0.5 * z * z / var) / math.sqrt(2.0 * math.pi * var))
     else:
-        # |u| = inf becomes the largest float, where the density underflows to 0
-        mags = np.minimum(np.abs(arr), np.finfo(float).max).ravel()
-        out = _mixture_integral(mags, comp).reshape(arr.shape)
-    return float(out) if out.ndim == 0 else out
+        out = _mixture_integral(mags, comp)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _mixture_integral(mags: np.ndarray, comp: NLNComponent) -> np.ndarray:
-    """:func:`nln_density` at finite ``mags >= 0`` for ``sigma_y > 0``.
+    """:func:`nln_density` at finite ``mags >= 0`` where ``sigma_y^2`` is a normal float.
 
     With ``y = mu_y + sigma_y x`` the exponent of the mixing integrand is
     ``phi = -y - exp(lw - 2 sigma_y x) - x^2 / 2``, where
@@ -171,9 +173,6 @@ def _mixture_integral(mags: np.ndarray, comp: NLNComponent) -> np.ndarray:
     """
     k, mu, sig = comp.k, comp.mu_y, comp.sigma_y
     s2 = sig * sig
-    # exp(-mu_y - rise) and the density are largest at u = 0: one check covers all u
-    if 0.5 * s2 - mu + max(0.0, 0.5 * math.log(k / (2.0 * math.pi))) > _LOG_FLOAT_MAX:
-        raise DensityOverflow(f"the density of {comp} at u = 0 exceeds the float range")
     with np.errstate(divide="ignore"):  # ln(0) = -inf at u = 0, where omega is 0
         lw = 2.0 * np.log(mags) + (math.log(0.5 * k) - 2.0 * mu)
     omega = wrightomega(lw + (math.log(4.0 * s2) + 2.0 * s2))

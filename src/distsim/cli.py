@@ -142,7 +142,8 @@ def _cmd_jl(args) -> int:
         return 0
     if args.jl_cmd == "project":
         data = SampleMatrix.from_csv(args.input)
-        projected = jl_project(data, args.k, _seed(args, args.seed))
+        projected = SampleMatrix(jl_project(data, args.k, _seed(args, args.seed)),
+                                 tuple(f"jl{i}" for i in range(args.k)))
         projected.to_csv(args.output)
         print(f"projected {data.n_obs}x{data.n_vars} -> {projected.n_obs}x{projected.n_vars}")
         return 0
@@ -359,7 +360,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (DistsimError, OSError, ValueError) as e:
+    except (DistsimError, OSError, ValueError, ArithmeticError) as e:
         if isinstance(e, ArithmeticError):
             print(f"numerical failure: {e}", file=sys.stderr)
             return 2

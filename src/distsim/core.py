@@ -418,6 +418,10 @@ class SampleMatrix:
         labels = self.labels or tuple(f"c{i}" for i in range(v.shape[1]))
         object.__setattr__(self, "labels", tuple(str(x) for x in labels))
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The values, so any function taking an array-like takes a sample matrix."""
+        return np.array(self.values, dtype=dtype, copy=copy)
+
     @property
     def n_obs(self) -> int:
         return int(self.values.shape[0])

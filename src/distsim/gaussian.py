@@ -79,7 +79,8 @@ def bc_normal_uni(p: GaussianUni, q: GaussianUni) -> DivergenceValue:
     """
     vp, vq = p.sigma2, q.sigma2
     var_term = 0.25 * math.log(0.25 * ((vp / vq + vq / vp) + 2.0))
-    mean_term = 0.25 * (p.mu - q.mu) ** 2 / (vp + vq)
+    d = p.mu - q.mu
+    mean_term = 0.25 * (d * d) / (vp + vq)  # d * d overflows to inf where d ** 2 raises
     return DivergenceValue.from_distance(var_term + mean_term)
 
 
@@ -104,7 +105,8 @@ def bc_mvn(p: GaussianMulti, q: GaussianMulti) -> DivergenceValue:
                 f"{label} is numerically singular (condition number above {MAX_CONDITION:.0e})"
             )
     d = p.mu - q.mu
-    quad = 0.125 * float(d @ np.linalg.solve(avg, d))
+    with np.errstate(over="ignore"):  # far-apart means: an infinite distance
+        quad = 0.125 * float(d @ np.linalg.solve(avg, d))
     logdet = 0.5 * (log_avg - 0.5 * (p.log_det + q.log_det))
     return DivergenceValue.from_distance(quad + logdet)
 
@@ -150,7 +152,10 @@ def _moments_about(c: float, a: float, b: float) -> list[float]:
 
 
 def truncated_moments(mu: float, sigma: float, lo: float, hi: float) -> tuple[float, float]:
-    """Mean and variance of ``N(mu, sigma^2)`` truncated to ``(lo, hi)``, in log space."""
+    """Mean and variance of ``N(mu, sigma^2)`` truncated to ``(lo, hi)``, in log
+    space; :class:`DomainError` unless ``sigma > 0`` and ``lo < hi``."""
+    if not (sigma > 0 and lo < hi):
+        raise DomainError(f"need sigma > 0 and lo < hi, got sigma={sigma!r}, ({lo!r}, {hi!r})")
     _, m1, m2, _, _ = _moments_about(0.0, (lo - mu) / sigma, (hi - mu) / sigma)
     return mu + sigma * m1, sigma * sigma * (m2 - m1 * m1)
 

@@ -69,7 +69,7 @@ from .errors import (
 from .gaussian import bc_mvn, bc_truncated_mvn, fit_truncated_normal
 from .approx import _sample_moments, moment_match
 from .quadrature import QuadConfig
-from .reduce import jl_min_dimension, jl_project, pca_reduce
+from .reduce import _points, jl_min_dimension, jl_project, pca_reduce
 
 __all__ = [
     "GroupDataset",
@@ -239,18 +239,18 @@ def load_group(path, name: str) -> GroupDataset:
     ))
 
 
-def estimate_mvn(data: SampleMatrix, shrinkage: float = 0.0,
-                 ) -> tuple[GaussianMulti, float]:
+def estimate_mvn(data, shrinkage: float = 0.0) -> tuple[GaussianMulti, float]:
     """Column means and shrunk sample covariance; returns (fit, shrinkage used).
 
-    The covariance is ``(1 - lam) * S + lam * avg_var * I``. If the
-    requested ``lam`` leaves the matrix with condition number at or above
-    1e10, the smallest larger ladder value that fixes it is used instead
-    (the caller should surface the returned value in run metadata). Data
-    whose sample covariance overflows the float range raise
+    ``data`` is an array-like of observations (rows), judged as every
+    :mod:`~distsim.reduce` input is. The covariance is ``(1 - lam) * S + lam
+    * avg_var * I``. If the requested ``lam`` leaves the matrix with condition
+    number at or above 1e10, the smallest larger ladder value that fixes it
+    is used instead (the caller should surface the returned value in run
+    metadata). Data whose sample covariance overflows the float range raise
     :class:`DegenerateData`.
     """
-    values = np.asarray(data.values, dtype=float)
+    values = _points(data)
     if values.shape[0] < 2:
         raise DegenerateData("need at least two observations")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -319,7 +319,7 @@ def estimate_truncated_uni(column, bounds="observed_range") -> TruncGaussianUni:
 
 def _fit_mvn(name: str, matrix: np.ndarray, cfg: RunConfig,
              notes: list[str]) -> GaussianMulti:
-    dist, lam = estimate_mvn(SampleMatrix(matrix), cfg.shrinkage)
+    dist, lam = estimate_mvn(matrix, cfg.shrinkage)
     if lam > cfg.shrinkage:
         notes.append(f"{name}: shrinkage raised to {lam}")
     return dist
@@ -401,23 +401,22 @@ def _child_seed(parent: np.random.SeedSequence, *key: int) -> np.uint32:
         entropy=parent.entropy, spawn_key=parent.spawn_key + key).generate_state(1)[0]
 
 
-def _jl_path(groups, k: int, fit):
+def _jl_path(names, arrays, k: int, fit):
     """Return the per-iteration step: unordered pairs ``i < j`` and their
     distance, after fitting every group once, projected with the map of its
     source dimension ``d`` (seed ``_child_seed(iter_seed, d)``)."""
-    g = len(groups)
+    g = len(names)
     pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
 
     def iteration(iter_seed: np.random.SeedSequence, distance):
-        fits = [fit(grp.name, jl_project(np.asarray(grp.data.values), k,
-                                         _child_seed(iter_seed, grp.data.n_vars)))
-                for grp in groups]
+        fits = [fit(name, jl_project(x, k, _child_seed(iter_seed, x.shape[1])))
+                for name, x in zip(names, arrays)]
         return pairs, lambda pair: distance(fits[pair[0]], fits[pair[1]])
 
     return iteration
 
 
-def _pca_path(groups, sig_digits: int, fit, notes: list[str]):
+def _pca_path(names, arrays, sig_digits: int, fit, notes: list[str]):
     """Decompose and fit once; return the per-iteration step: ordered pairs
     ``i != j`` in row-major order and their distance.
 
@@ -428,11 +427,9 @@ def _pca_path(groups, sig_digits: int, fit, notes: list[str]):
     iteration, so the retention counts, the score decompositions and the
     ``(group, count)`` fits are made here once.
     """
-    g = len(groups)
+    g = len(names)
     # every count a pair asks of a group is a prefix of its one decomposition
-    reduced = [pca_reduce(grp.data, significant_digits=sig_digits) for grp in groups]
-    scores = [np.asarray(matrix.values) for matrix, _ in reduced]
-    kept = [n for _, n in reduced]
+    scores, kept = zip(*[pca_reduce(x, significant_digits=sig_digits) for x in arrays])
 
     def columns(i: int, count: int) -> np.ndarray:
         # a contiguous copy of the leading columns, so every fit sees one layout
@@ -442,8 +439,7 @@ def _pca_path(groups, sig_digits: int, fit, notes: list[str]):
     count = {(i, j): min(kept[i], scores[j].shape[1]) for i, j in pairs}
     needed = sorted({(j, count[i, j]) for i, j in pairs}
                     | {(i, kept[i]) for i, j in pairs if count[i, j] == kept[i]})
-    fits = dict(zip(needed, _map(lambda key: fit(groups[key[0]].name, columns(*key)),
-                                 needed)))
+    fits = dict(zip(needed, _map(lambda key: fit(names[key[0]], columns(*key)), needed)))
 
     def iteration(iter_seed: np.random.SeedSequence, distance):
         def one(pair):
@@ -451,10 +447,10 @@ def _pca_path(groups, sig_digits: int, fit, notes: list[str]):
             c = count[pair]
             if c == kept[i]:
                 return distance(fits[i, c], fits[j, c])
-            notes.append(f"{groups[i].name}->{groups[j].name}: first group projected "
+            notes.append(f"{names[i]}->{names[j]}: first group projected "
                          f"from {kept[i]} to {c} columns to match the second")
-            lead = fit(groups[i].name, np.asarray(jl_project(
-                columns(i, kept[i]), c, _child_seed(iter_seed, 7, i, j))))
+            lead = fit(names[i], jl_project(columns(i, kept[i]), c,
+                                            _child_seed(iter_seed, 7, i, j)))
             return distance(lead, fits[j, c])
 
         return pairs, one
@@ -479,9 +475,9 @@ def compare_groups(groups: Sequence[GroupDataset], cfg: RunConfig) -> Comparison
     if len(t_counts) != 1:
         raise DimensionMismatch(f"groups disagree on observation count: {t_counts}")
 
+    arrays = [np.asarray(g.data) for g in groups]
     if cfg.log_returns:
-        groups = [GroupDataset(g.name, SampleMatrix(
-            _log_returns(np.asarray(g.data.values)), g.data.labels)) for g in groups]
+        arrays = [_log_returns(x) for x in arrays]
 
     notes: list[str] = []
     fit_family, distance_family = _FAMILIES[cfg.fit]
@@ -490,39 +486,31 @@ def compare_groups(groups: Sequence[GroupDataset], cfg: RunConfig) -> Comparison
     if sym:
         k = cfg.k
         if k is None:
-            k = jl_min_dimension(groups[0].data.n_obs, cfg.epsilon)
+            k = jl_min_dimension(arrays[0].shape[0], cfg.epsilon)
             notes.append(f"projection dimension {k} derived from epsilon={cfg.epsilon}")
-        iteration = _jl_path(groups, k, fit)
+        iteration = _jl_path(names, arrays, k, fit)
     else:
-        iteration = _pca_path(groups, cfg.sig_digits, fit, notes)
+        iteration = _pca_path(names, arrays, cfg.sig_digits, fit, notes)
 
-    matrices, argmins = [], []
-    for iter_seed in np.random.SeedSequence(cfg.seed).spawn(cfg.iterations):
+    values = np.zeros((cfg.iterations, len(names), len(names)))
+    for it, iter_seed in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.iterations)):
         distance = partial(distance_family, quad=QuadConfig(
             seed=int(iter_seed.generate_state(1)[0]), mc_samples=cfg.mc_samples))
         pairs, pair_distance = iteration(iter_seed, distance)
-        values = np.zeros((len(names), len(names)))
         for (i, j), dist in zip(pairs, _map(pair_distance, pairs)):
-            values[i, j] = dist
+            values[it, i, j] = dist
             if sym:
-                values[j, i] = dist
-        matrices.append(DistanceMatrix(tuple(names), values, symmetric=sym))
-        off = values + np.diag(np.full(len(names), math.inf))
-        i, j = np.unravel_index(int(np.argmin(off)), off.shape)
-        argmins.append((names[i], names[j]))
+                values[it, j, i] = dist
+    matrices = tuple(DistanceMatrix(tuple(names), v, symmetric=sym) for v in values)
 
-    summary = {}
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            if i == j:
-                continue
-            dists = [m.values[i, j] for m in matrices]
-            summary[f"{a}->{b}"] = {
-                "mean": float(np.mean(dists)),
-                "min": float(np.min(dists)),
-                "max": float(np.max(dists)),
-            }
-    # dedupe and sort so threaded runs emit identical metadata
-    canonical_notes = tuple(sorted(set(notes)))
-    return ComparisonResult(tuple(names), tuple(matrices), summary,
-                            tuple(argmins), cfg, canonical_notes)
+    off = ~np.eye(len(names), dtype=bool)
+    rows, cols = np.nonzero(off)
+    argmins = tuple((names[rows[f]], names[cols[f]]) for f in np.argmin(values[:, off], axis=1))
+    # each pair's series contiguous, so each statistic reduces it as np.mean(list) would
+    series = values.transpose(1, 2, 0).copy()
+    stats = {"mean": series.mean(axis=2), "min": series.min(axis=2), "max": series.max(axis=2)}
+    summary = {f"{names[i]}->{names[j]}": {key: float(v[i, j]) for key, v in stats.items()}
+               for i, j in zip(rows, cols)}
+    # dedupe and sort the notes so threaded runs emit identical metadata
+    return ComparisonResult(tuple(names), matrices, summary, argmins, cfg,
+                            tuple(sorted(set(notes))))

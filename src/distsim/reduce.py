@@ -13,6 +13,9 @@ of successive cumulative-variance increments that stay positive after
 rounding to a given number of digits. Rows are observations and stay so:
 the input is never transposed, and the result is the scores of every
 component, of which the retained count are the leading columns.
+
+Inputs are array-likes, each judged once by one rule (2-D, nonempty, every
+entry finite); results are plain ndarrays.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .core import SampleMatrix
-from .errors import DegenerateData, DimensionMismatch, DomainError
+from .errors import DegenerateData, DimensionMismatch, DomainError, InvalidDistribution
 
 __all__ = [
     "DistortionReport",
@@ -39,14 +41,18 @@ def jl_min_dimension(n: int, epsilon: float) -> int:
     """Smallest embedding dimension honoring the distortion guarantee.
 
     ``ceil(4 ln n / (eps^2/2 - eps^3/3))`` for ``n >= 2`` points and
-    ``0 < eps < 1``.
+    ``0 < eps < 1``; an ``eps`` so small that the bound is not a finite
+    float raises :class:`DomainError`.
     """
     if n < 2:
         raise DomainError(f"need at least 2 points, got {n}")
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must be in (0, 1), got {epsilon!r}")
     denom = epsilon ** 2 / 2.0 - epsilon ** 3 / 3.0
-    return int(math.ceil(4.0 * math.log(n) / denom))
+    bound = 4.0 * math.log(n) / denom if denom > 0.0 else math.inf
+    if not math.isfinite(bound):
+        raise DomainError(f"epsilon {epsilon!r} is too small: the bound leaves the float range")
+    return int(math.ceil(bound))
 
 
 @dataclass(frozen=True)
@@ -64,32 +70,30 @@ class DistortionReport:
             raise DomainError("fraction_within must be in [0, 1]")
 
 
-def _as_points(data) -> tuple[np.ndarray, bool]:
-    if isinstance(data, SampleMatrix):
-        return np.asarray(data.values, dtype=float), True
+def _points(data) -> np.ndarray:
+    """``data`` as a float array of row-points: 2-D, nonempty, all finite."""
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2:
         raise DimensionMismatch("points must form a 2-D array (rows = points)")
-    return arr, False
+    if arr.size == 0:
+        raise InvalidDistribution("matrix must have at least one row and one column")
+    if not np.isfinite(arr).all():
+        raise InvalidDistribution("all entries must be finite")
+    return arr
 
 
-def jl_project(data, k: int, seed: int = 0):
+def jl_project(data, k: int, seed: int = 0) -> np.ndarray:
     """Project row-points into ``k`` dimensions with a seeded Gaussian map.
 
-    Accepts a :class:`SampleMatrix` or a plain 2-D array (rows are points,
-    columns coordinates) and returns the same kind. Deterministic for a
-    fixed seed.
+    ``data`` is a 2-D array-like of finite values (rows are points, columns
+    coordinates); the result is the ``(n_points, k)`` array of projections.
+    Deterministic for a fixed seed.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    points, wrap = _as_points(data)
-    d = points.shape[1]
+    points = _points(data)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    gauss = rng.standard_normal((d, k))
-    projected = points @ (gauss / math.sqrt(k))
-    if wrap:
-        return SampleMatrix(projected, tuple(f"jl{i}" for i in range(k)))
-    return projected
+    return points @ (rng.standard_normal((points.shape[1], k)) / math.sqrt(k))
 
 
 def jl_distortion_report(original, projected, epsilon: float) -> DistortionReport:
@@ -99,8 +103,7 @@ def jl_distortion_report(original, projected, epsilon: float) -> DistortionRepor
     Coincident original points (zero distance) are excluded from the ratio
     statistics; a zero maps to a zero under any linear projection.
     """
-    a, _ = _as_points(original)
-    b, _ = _as_points(projected)
+    a, b = _points(original), _points(projected)
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch("point counts differ")
     if a.shape[0] < 2:
@@ -124,12 +127,13 @@ def jl_distortion_report(original, projected, epsilon: float) -> DistortionRepor
     )
 
 
-def pca_reduce(data, *, significant_digits: int) -> tuple[SampleMatrix, int]:
+def pca_reduce(data, *, significant_digits: int) -> tuple[np.ndarray, int]:
     """Principal-component scores with the increment-rounding retention rule.
 
-    Data is centered, never rescaled. Returns the scores of every component
-    (columns ``pc1 .. pcN`` with ``N = min(n_obs, n_vars)``, ordered by
-    nonincreasing variance, rows kept as the input's) and the retained count:
+    Data is a 2-D array-like of finite values, centered, never rescaled.
+    Returns the ``(n_obs, N)`` scores of every component (``N = min(n_obs,
+    n_vars)`` columns, ordered by nonincreasing variance, rows kept as the
+    input's) and the retained count:
     ``1 +`` the number of successive cumulative-variance increments that stay
     positive after rounding to ``significant_digits`` digits. Keeping ``c``
     components keeps the first ``c`` columns. Data whose centring or
@@ -138,14 +142,13 @@ def pca_reduce(data, *, significant_digits: int) -> tuple[SampleMatrix, int]:
     if significant_digits < 1:
         raise DomainError("significant_digits must be >= 1")
 
-    points, _ = _as_points(data)
-    n_obs = points.shape[0]
+    points = _points(data)
     with np.errstate(over="ignore", invalid="ignore"):
         centered = points - points.mean(axis=0)
         if not np.isfinite(centered).all():
             raise DegenerateData("centring the data overflows the float range")
         u_mat, svals, _ = np.linalg.svd(centered, full_matrices=False)
-        variances = (svals ** 2) / max(n_obs - 1, 1)
+        variances = (svals ** 2) / max(points.shape[0] - 1, 1)
         total = float(variances.sum())
     if not math.isfinite(total):
         raise DegenerateData("component variances overflow the float range")
@@ -155,5 +158,4 @@ def pca_reduce(data, *, significant_digits: int) -> tuple[SampleMatrix, int]:
     cumulative = np.cumsum(variances / total)
     increments = np.round(np.diff(cumulative), significant_digits)
     retained = int(np.sum(increments > 0)) + 1
-    labels = tuple(f"pc{i + 1}" for i in range(svals.size))
-    return SampleMatrix(u_mat * svals, labels), retained
+    return u_mat * svals, retained

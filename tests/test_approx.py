@@ -68,12 +68,24 @@ class TestNlnDensity:
         comp = NLNComponent(1, 0.0, 0.0)
         assert nln_density(0.0, comp) == pytest.approx(1 / math.sqrt(2 * math.pi),
                                                        abs=1e-15)
+        # Y is the constant mu_y: X e^mu_y ~ N(0, e^(2 mu_y) / k)
         comp4 = NLNComponent(4, 0.7, 0.0)
         xs = np.linspace(-2, 2, 9)
         for x in xs:
             assert nln_density(float(x), comp4) == pytest.approx(
-                float(normal_pdf(x, 0.0, 0.25)), abs=1e-15
+                float(normal_pdf(x, 0.0, math.exp(1.4) / 4)), rel=1e-15, abs=1e-16
             )
+            # the limit of the mixing integral as sigma_y shrinks
+            assert nln_density(float(x), comp4) == pytest.approx(
+                nln_density_mp(float(x), 4, 0.7, 1e-6), rel=1e-10)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-300])
+    def test_vanishing_mixing_width_is_the_normal(self, sigma):
+        # sigma_y^2 is subnormal at 1e-160 and 0 at 1e-300: Y is the constant mu_y
+        xs = np.linspace(-3.0, 3.0, 25)
+        got = nln_density(xs, NLNComponent(2, 0.0, sigma))
+        assert np.allclose(got, normal_pdf(xs, 0.0, 0.5), rtol=1e-15, atol=0.0)
 
     def test_even_symmetry(self):
         for comp in (NLNComponent(2, 0.3, 0.8), *ORACLE_COMPONENTS):
@@ -121,7 +133,7 @@ class TestNlnDensity:
         xs = np.linspace(-2, 2, 6).reshape(2, 3)
         got = nln_density(xs, comp)
         assert isinstance(got, np.ndarray) and got.shape == (2, 3)
-        assert np.allclose(got, normal_pdf(xs, 0.0, 0.25), rtol=1e-15, atol=0.0)
+        assert np.allclose(got, normal_pdf(xs, 0.0, math.exp(1.4) / 4), rtol=1e-15, atol=0.0)
         assert isinstance(nln_density(0.5, comp), float)
 
     def test_infinite_and_nan_arguments(self):

@@ -13,12 +13,15 @@ from distsim import (
     GaussianUni,
     SampleMatrix,
     TruncGaussianMulti,
+    TruncGaussianUni,
     to_json,
 )
 from distsim import cli, errors
 from distsim.cli import main
 from distsim.pipeline import RunConfig, _fit_discrete
 from distsim.stein import IdentityReport, PriceReport
+
+from oracles import normal_pdf
 
 
 def write(path, text):
@@ -80,6 +83,17 @@ class TestDistance:
         assert main(["distance", a, b]) == 0
         assert json.loads(capsys.readouterr().out) == {"coefficient": 1.0, "distance": 0.0}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("make", [
+        lambda mu: GaussianUni(mu, 1.0),
+        lambda mu: TruncGaussianUni(mu, 1.0, -math.inf, math.inf),
+    ], ids=["GaussianUni", "TruncGaussianUni"])
+    def test_far_apart_normals_print_inf(self, tmp_path, capsys, make):
+        a = write(tmp_path / "far.json", to_json(make(1e300)))
+        b = write(tmp_path / "near.json", to_json(make(0.0)))
+        assert main(["distance", a, b]) == 0
+        assert json.loads(capsys.readouterr().out) == {"coefficient": 0.0, "distance": "inf"}
+
     @pytest.mark.parametrize("text", ['{"type": "GaussianUni", "mu": 0}', "[1, 2]"])
     def test_malformed_json_exits_one(self, tmp_path, capsys, text):
         a = write(tmp_path / "bad.json", text)
@@ -108,6 +122,10 @@ class TestJl:
         assert rep["pairs"] == 30 * 29 // 2
         assert 0.0 <= rep["fraction_within"] <= 1.0
 
+    def test_min_dim_at_a_vanishing_epsilon_exits_one(self, capsys):
+        assert main(["jl", "min-dim", "--n", "10", "--eps", "1e-300"]) == 1
+        assert capsys.readouterr().err.startswith("error: epsilon 1e-300 is too small")
+
     def test_project_ragged_csv_exits_one(self, tmp_path, capsys):
         src = write(tmp_path / "bad.csv", "a,b\n1,2\n3\n")
         assert main(["jl", "project", "--input", src, "--k", "1", "--seed", "1",
@@ -124,6 +142,7 @@ class TestJl:
             assert main(["jl", "project", "--input", str(src), "--k", "8",
                          "--seed", "7", "--output", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+        assert out1.read_text().splitlines()[0] == ",".join(f"jl{i}" for i in range(8))
 
 
 class TestApprox:
@@ -204,6 +223,14 @@ class TestApprox:
         assert np.max(np.abs(grid[:, 1] - want)) < 1e-4
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nln_density_at_a_vanishing_sigma_is_the_normal(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert main(["approx", "nln-density", "--k", "2", "--mu-y", "0", "--sigma-y", "1e-300",
+                     "--output", str(out)]) == 0
+        grid = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.allclose(grid[:, 1], normal_pdf(grid[:, 0], 0.0, 0.5), rtol=1e-13, atol=0.0)
+
     def test_nln_density_out_of_float_range_exits_two(self, tmp_path, capsys):
         assert main(["approx", "nln-density", "--k", "1", "--mu-y", "0", "--sigma-y", "20",
                      "--output", str(tmp_path / "g.csv")]) == 2
@@ -257,6 +284,16 @@ def test_error_hierarchy_decides_exit_code(monkeypatch, capsys, name):
     assert main(["jl", "min-dim", "--n", "10", "--eps", "0.5"]) == (2 if numerical else 1)
     prefix = "numerical failure" if numerical else "error"
     assert capsys.readouterr().err == f"{prefix}: refused\n"
+
+
+def test_raw_arithmetic_error_exits_two(monkeypatch, capsys):
+    def overflow(*args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "jl_min_dimension", overflow)
+    assert main(["jl", "min-dim", "--n", "10", "--eps", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err == "numerical failure: math range error\n"
 
 
 class TestUsage:

@@ -74,8 +74,22 @@ class TestNormalUni:
         p, q = GaussianUni(0.37, 1.21), GaussianUni(-1.4, 0.56)
         assert bc_normal_uni(p, q).distance == bc_normal_uni(q, p).distance
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_apart_means_give_infinite_distance(self):
+        # the squared mean gap overflows: the distance is inf, not an OverflowError
+        far = bc_normal_uni(GaussianUni(1e300, 1.0), GaussianUni(0.0, 1.0))
+        assert (far.coefficient, far.distance) == (0.0, math.inf)
+        unbounded = bc_truncated_uni(TruncGaussianUni(1e300, 1.0, -math.inf, math.inf),
+                                     TruncGaussianUni(0.0, 1.0, -math.inf, math.inf))
+        assert (unbounded.coefficient, unbounded.distance) == (0.0, math.inf)
+
 
 class TestMvn:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_apart_means_give_infinite_distance(self):
+        far = bc_mvn(GaussianMulti([1e300, 0.0], np.eye(2)), GaussianMulti([0.0, 0.0], np.eye(2)))
+        assert (far.coefficient, far.distance) == (0.0, math.inf)
+
     def test_identity_covariances_unit_shift(self):
         p = GaussianMulti([0, 0], np.eye(2))
         q = GaussianMulti([1, 0], np.eye(2))
@@ -253,6 +267,15 @@ class TestTruncatedUniTails:
         m, v = truncated_moments(mu, sigma, lo, hi)
         assert m == pytest.approx(float(want_m), rel=1e-12, abs=0.0)
         assert v == pytest.approx(float(want_v), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("mu, sigma, lo, hi", [
+    (0.0, 0.0, -1.0, 1.0), (0.0, -1.0, -1.0, 1.0), (0.0, 1.0, 1e10, 0.0),
+    (0.0, 1.0, 10.0, 0.0), (0.0, 1.0, 2.0, 2.0),
+], ids=["zero-sigma", "negative-sigma", "far-inverted", "inverted", "empty"])
+def test_truncated_moments_refuses_what_it_cannot_compute(mu, sigma, lo, hi):
+    with pytest.raises(DomainError, match="sigma > 0 and lo < hi"):
+        truncated_moments(mu, sigma, lo, hi)
 
 
 class TestFitTruncatedNormal:

@@ -18,6 +18,7 @@ from distsim import (
     DomainError,
     EmptyAfterCleaning,
     GroupDataset,
+    InvalidDistribution,
     ParseError,
     RunConfig,
     SampleMatrix,
@@ -115,6 +116,12 @@ class TestEstimateMvn:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateData, match="overflow"):
                 estimate_mvn(SampleMatrix(x))
+
+    def test_non_finite_observation_refused(self):
+        x = np.random.default_rng(6).standard_normal((30, 3))
+        x[4, 1] = math.nan
+        with pytest.raises(InvalidDistribution, match="all entries must be finite"):
+            estimate_mvn(x)
 
 
 def scaled_residual(fit, x) -> float:
@@ -301,6 +308,34 @@ class TestCompareGroupsJl:
         res = compare_groups(groups, cfg)
         # identical returns after scaling: distance collapses to zero
         assert res.matrices[0].values[0, 1] < 1e-8
+
+    def test_log_returns_need_two_levels(self):
+        groups = [GroupDataset(name, SampleMatrix([[1.0, 2.0]])) for name in "AB"]
+        with pytest.raises(InvalidDistribution, match="at least one row"):
+            compare_groups(groups, RunConfig(method="jl", k=2, seed=1, log_returns=True))
+
+    def test_closest_pair_is_never_a_group_with_itself(self):
+        # the observed boxes are disjoint, so every off-diagonal distance is inf
+        rng = np.random.default_rng(5)
+        groups = [GroupDataset(name, SampleMatrix(rng.standard_normal((60, 3)) + shift))
+                  for name, shift in (("a", 0.0), ("far", 50.0))]
+        res = compare_groups(groups, RunConfig(method="jl", k=2, fit="truncated", seed=1))
+        assert res.matrices[0].values[0, 1] == math.inf
+        assert res.argmin_pairs == (("a", "far"),)
+
+    def test_summary_and_closest_pairs_equal_a_per_pair_loop(self):
+        groups = synthetic_groups(seed=6, t=60, n=5)
+        res = compare_groups(groups, RunConfig(method="jl", k=3, fit="mvn", iterations=20,
+                                               seed=2))
+        off = [(i, j) for i in range(3) for j in range(3) if i != j]
+        for (i, j) in off:
+            dists = [m.values[i, j] for m in res.matrices]
+            assert res.pair_summary[f"{res.labels[i]}->{res.labels[j]}"] == {
+                "mean": float(np.mean(dists)), "min": float(np.min(dists)),
+                "max": float(np.max(dists))}
+        for m, pair in zip(res.matrices, res.argmin_pairs):
+            i, j = min(off, key=lambda ij: m.values[ij])
+            assert pair == (res.labels[i], res.labels[j])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_log_returns_leaving_the_float_range_refused(self):

@@ -11,9 +11,11 @@ from distsim import (
     DimensionMismatch,
     DomainError,
     GroupDataset,
+    InvalidDistribution,
     RunConfig,
     SampleMatrix,
     compare_groups,
+    estimate_mvn,
     jl_distortion_report,
     jl_min_dimension,
     jl_project,
@@ -53,6 +55,12 @@ class TestMinDimension:
         with pytest.raises(DomainError):
             jl_min_dimension(10, 1.0)
 
+    @pytest.mark.parametrize("eps", [1e-155, 1e-300])
+    def test_bound_past_the_float_range_refused(self, eps):
+        # eps^2 / 2 is subnormal at 1e-155 (bound inf) and 0 at 1e-300
+        with pytest.raises(DomainError, match="too small"):
+            jl_min_dimension(10, eps)
+
 
 class TestProject:
     def test_zero_matrix_maps_to_zero(self):
@@ -68,11 +76,11 @@ class TestProject:
         assert np.array_equal(jl_project(x, 6, seed=3), jl_project(x, 6, seed=3))
         assert not np.array_equal(jl_project(x, 6, seed=3), jl_project(x, 6, seed=4))
 
-    def test_sample_matrix_wrapping(self):
-        sm = SampleMatrix(np.ones((3, 5)))
-        out = jl_project(sm, 2, seed=1)
-        assert isinstance(out, SampleMatrix)
-        assert out.labels == ("jl0", "jl1")
+    def test_sample_matrix_gives_the_array_result(self):
+        x = np.random.default_rng(1).standard_normal((3, 5))
+        out = jl_project(SampleMatrix(x), 2, seed=1)
+        assert type(out) is np.ndarray
+        assert np.array_equal(out, jl_project(x, 2, seed=1))
 
     def test_norm_preserved_in_expectation(self):
         rng = np.random.default_rng(7)
@@ -147,13 +155,13 @@ class TestPcaReduce:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
         out, _ = pca_reduce(SampleMatrix(x + 3.0), significant_digits=3)
-        assert np.array_equal(out.values, pca_scores(x + 3.0))
+        assert np.array_equal(out, pca_scores(x + 3.0))
 
     def test_rank_one_keeps_single_component(self):
         x = np.outer(np.linspace(1, 3, 25), [1.0, 2.0, -1.0, 0.5])
         out, kept = pca_reduce(SampleMatrix(x), significant_digits=6)
         assert kept == 1
-        assert out.values.shape == (25, 4)
+        assert out.shape == (25, 4)
 
     def test_retention_depends_on_digits(self):
         rng = np.random.default_rng(4)
@@ -168,7 +176,7 @@ class TestPcaReduce:
     def test_truncated_scores_have_nonincreasing_variance(self):
         x = np.random.default_rng(5).standard_normal((60, 10)) * np.arange(1, 11)
         out, kept = pca_reduce(SampleMatrix(x), significant_digits=3)
-        variances = out.values.var(axis=0)
+        variances = out.var(axis=0)
         assert np.all(np.diff(variances) <= 1e-9)
 
     def test_wide_input_keeps_rows(self):
@@ -176,7 +184,7 @@ class TestPcaReduce:
         x = np.random.default_rng(6).standard_normal((5, 30))
         out, kept = pca_reduce(SampleMatrix(x), significant_digits=3)
         assert kept <= 5
-        assert out.values.shape == (5, 5)
+        assert out.shape == (5, 5)
 
     def test_digits_below_one_refused(self):
         with pytest.raises(DomainError):
@@ -210,10 +218,51 @@ class TestPcaReduce:
     def test_returns_min_of_rows_and_columns(self, shape):
         x = np.random.default_rng(8).standard_normal(shape)
         out, _ = pca_reduce(SampleMatrix(x), significant_digits=3)
-        assert out.labels == ("pc1", "pc2", "pc3")
+        assert type(out) is np.ndarray
+        assert out.shape == (shape[0], 3)
 
     def test_deterministic(self):
         x = SampleMatrix(np.random.default_rng(9).standard_normal((30, 5)))
         a, _ = pca_reduce(x, significant_digits=3)
         b, _ = pca_reduce(x, significant_digits=3)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
+
+
+class TestArrayInputs:
+    """Every reduction takes an array-like, judged once: 2-D and finite."""
+
+    REDUCTIONS = {
+        "jl_project": lambda x: jl_project(x, 2, seed=3),
+        "pca_reduce": lambda x: pca_reduce(x, significant_digits=3),
+        "jl_distortion_report": lambda x: jl_distortion_report(x, x, 0.5),
+    }
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", REDUCTIONS)
+    def test_non_finite_entry_refused(self, name, bad):
+        x = np.random.default_rng(0).standard_normal((20, 4))
+        x[7, 2] = bad
+        with pytest.raises(InvalidDistribution, match="all entries must be finite"):
+            self.REDUCTIONS[name](x)
+
+    def test_nan_in_the_projected_points_refused(self):
+        x = np.random.default_rng(0).standard_normal((20, 4))
+        y = x.copy()
+        y[3, 0] = math.nan
+        with pytest.raises(InvalidDistribution):
+            jl_distortion_report(x, y, 0.5)
+
+    @pytest.mark.parametrize("name", REDUCTIONS)
+    def test_one_dimensional_input_refused(self, name):
+        with pytest.raises(DimensionMismatch):
+            self.REDUCTIONS[name](np.arange(6.0))
+
+    @pytest.mark.parametrize("reduce", [
+        lambda x: jl_project(x, 3, seed=5),
+        lambda x: pca_reduce(x, significant_digits=3)[0],
+        lambda x: estimate_mvn(x, 0.0)[0].cov,
+    ], ids=["jl_project", "pca_reduce", "estimate_mvn"])
+    def test_sample_matrix_and_its_values_give_equal_bits(self, reduce):
+        data = SampleMatrix(np.random.default_rng(4).standard_normal((30, 6)) * 3.0 + 1.0)
+        assert np.array_equal(reduce(data), reduce(data.values))
+        assert np.array_equal(reduce(data), reduce(data.values.tolist()))
