@@ -26,9 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import threading
 import warnings
-import weakref
 from dataclasses import MISSING, dataclass, fields
 from typing import Callable
 
@@ -77,37 +75,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
-
-
-class ObjectMemo:
-    """Values derived from one distribution object, kept while it lives.
-
-    Entries are keyed on the object's identity through a weak reference
-    (every distribution type is ``eq=False``), so they die with the object
-    and two equal-valued objects never share one. Each ``(object, key)`` slot
-    has its own lock: the first caller computes under it, racing callers wait
-    for its value, other keys compute in parallel, and a ``compute`` that
-    raises leaves the slot empty. Memoise only deterministic values: then a
-    hit returns the bits a recomputation would.
-    """
-
-    def __init__(self):
-        self._table: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-        self._lock = threading.Lock()
-
-    def get(self, obj, key, compute: Callable[[], object]):
-        """``compute()`` for ``(obj, key)``, or the value remembered for it."""
-        with self._lock:
-            entry = self._table.setdefault(obj, {})
-            slot = entry.get(key) or entry.setdefault(key, [threading.Lock()])
-        with slot[0]:
-            if len(slot) == 1:
-                slot.append(compute())
-            return slot[1]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._table)
 
 
 def _encode(value):

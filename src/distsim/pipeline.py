@@ -21,7 +21,7 @@ pair needs) and fitted once per column count; each iteration then
 only fits a first group projected to match its pair, inside the pair, and
 compares. Either path hands each iteration's pairs and their distance to
 ``compare_groups``, which alone maps the pairs and fills the matrix; every
-map and pair seed is a child of the iteration seed (``_child_seed``).
+map, pair and box seed is a child of the iteration seed (``_child_seed``).
 
 Fits: multivariate normal with diagonal shrinkage; truncated multivariate
 normal assembled from per-column truncated fits plus the sample
@@ -85,6 +85,8 @@ __all__ = [
 SHRINKAGE_LADDER = (0.0, 0.01, 0.05, 0.1, 0.25)
 #: covariance condition number accepted by the estimators.
 MAX_COND = 1e10
+#: smallest positive normal float: a sample variance below it has lost its digits.
+_TINY = np.finfo(float).tiny
 #: RunConfig field annotation -> the values it admits (bool is no number here).
 _FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
 
@@ -114,8 +116,10 @@ class RunConfig:
     and the row count. ``fit`` is one of ``mvn``, ``truncated``,
     ``discrete``; ``bounds`` applies to the truncated fit and is either
     ``"observed_range"`` or a fixed ``(lower, upper)`` pair (an infinite
-    bound may be ``"-inf"`` or ``"+inf"``). A field whose value is not of
-    its annotated type raises :class:`DomainError`.
+    bound may be ``"-inf"`` or ``"+inf"``). ``mc_samples`` caps each box
+    probability of the truncated fit and is judged here, whatever the fit,
+    by :class:`~distsim.quadrature.QuadConfig`'s rule. A field whose value
+    is not of its annotated type raises :class:`DomainError`.
     """
 
     method: str = "jl"
@@ -153,6 +157,7 @@ class RunConfig:
             raise DomainError("sig_digits must be >= 1")
         if self.n_nodes < 1:
             raise DomainError("n_nodes must be >= 1")
+        QuadConfig(mc_samples=self.mc_samples)  # judged by the rule of the boxes it caps
         if self.method == "jl" and self.k is None and self.epsilon is None:
             raise DomainError("the jl method needs either k or epsilon")
         if isinstance(self.bounds, str):
@@ -247,8 +252,8 @@ def estimate_mvn(data, shrinkage: float = 0.0) -> tuple[GaussianMulti, float]:
     * avg_var * I``. If the requested ``lam`` leaves the matrix with condition
     number at or above 1e10, the smallest larger ladder value that fixes it
     is used instead (the caller should surface the returned value in run
-    metadata). Data whose sample covariance overflows the float range raise
-    :class:`DegenerateData`.
+    metadata). Data whose sample covariance overflows the float range, or
+    with a positive sample variance below it, raise :class:`DegenerateData`.
     """
     values = _points(data)
     if values.shape[0] < 2:
@@ -258,7 +263,10 @@ def estimate_mvn(data, shrinkage: float = 0.0) -> tuple[GaussianMulti, float]:
         cov = np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
     if not np.all(np.isfinite(cov)):
         raise DegenerateData("sample covariance overflows the float range")
-    avg_var = float(np.mean(np.diag(cov)))
+    var = np.diag(cov)
+    if np.any((var > 0.0) & (var < _TINY)):
+        raise DegenerateData("sample variance underflows the float range")
+    avg_var = float(np.mean(var))
     if avg_var <= 0.0:
         raise DegenerateData("all columns are constant")
     return _shrink(mean, cov, avg_var, shrinkage, "covariance")
@@ -283,8 +291,10 @@ def _shrink(mean: np.ndarray, mat: np.ndarray, scale: float, start: float,
 def estimate_truncated_uni(column, bounds="observed_range") -> TruncGaussianUni:
     """Fit a truncated normal to one column by matching mean and variance.
 
-    ``bounds`` is ``"observed_range"`` (data min/max) or a fixed
-    ``(lower, upper)`` pair, possibly infinite. The location/scale pair comes
+    ``bounds`` is ``"observed_range"`` (data min/max, widened by 1e-9 of the
+    range, so the fit does not depend on the units) or a fixed ``(lower,
+    upper)`` pair, possibly infinite. A sample variance below the float range
+    raises :class:`DegenerateData`. The location/scale pair comes
     from :func:`~distsim.gaussian.fit_truncated_normal`. A column flatter than
     every truncated normal on its range, one whose mean lies outside fixed
     bounds, or a solve that raises an ``ArithmeticError`` takes the
@@ -299,10 +309,12 @@ def estimate_truncated_uni(column, bounds="observed_range") -> TruncGaussianUni:
     s_var = float(x.var(ddof=1))
     if s_var <= 0.0:
         raise DegenerateData("column is constant")
+    if s_var < _TINY:
+        raise DegenerateData("sample variance underflows the float range")
     if bounds == "observed_range":
         lo, hi = float(x.min()), float(x.max())
         # widen a hair so the extreme observations stay interior
-        pad = 1e-9 * max(hi - lo, 1.0)
+        pad = 1e-9 * (hi - lo)
         lo, hi = lo - pad, hi + pad
     else:
         lo, hi = float(bounds[0]), float(bounds[1])
@@ -495,7 +507,7 @@ def compare_groups(groups: Sequence[GroupDataset], cfg: RunConfig) -> Comparison
     values = np.zeros((cfg.iterations, len(names), len(names)))
     for it, iter_seed in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.iterations)):
         distance = partial(distance_family, quad=QuadConfig(
-            seed=int(iter_seed.generate_state(1)[0]), mc_samples=cfg.mc_samples))
+            seed=int(_child_seed(iter_seed)), mc_samples=cfg.mc_samples))
         pairs, pair_distance = iteration(iter_seed, distance)
         for (i, j), dist in zip(pairs, _map(pair_distance, pairs)):
             values[it, i, j] = dist

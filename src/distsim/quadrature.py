@@ -25,7 +25,11 @@ on the exact bound bytes and the (frozen) ``QuadConfig``, for as long as
 that object lives. Same seed means same bits, so a remembered result is
 the one a recomputation would give; the pipeline thereby computes a
 group's own box normaliser once per iteration rather than once per pair.
-Nothing is shared between distinct objects, however equal their values.
+Nothing is shared between distinct objects, however equal their values,
+and nothing is stored on the normal, which stays picklable: the memo is
+the weak-keyed table :data:`_BOXES`. Each box has its own lock, so racing
+callers wait for the first computation while other boxes compute in
+parallel; a computation that raises stores nothing.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import threading
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -41,7 +47,7 @@ from scipy.special import log_ndtr, ndtr, ndtri
 from scipy.stats import qmc
 from scipy.stats import t as _student_t
 
-from .core import GaussianMulti, ObjectMemo, QuadResult
+from .core import GaussianMulti, QuadResult
 from .errors import DimensionMismatch, DomainError, NonConvergence, NotPositiveDefinite
 
 __all__ = ["QuadConfig", "log_gauss_mass", "integrate_1d", "mvn_rect_prob"]
@@ -83,8 +89,11 @@ _GK21_W = 0.5 * np.array([_GK21_WK, _GK21_WK - (_GK21_HALF_WG + _GK21_HALF_WG[-2
 #: most entries (nodes times outputs) one integrand call evaluates: 512 KB.
 _CHUNK = 1 << 16
 
-#: box probabilities per distribution object, keyed on (lower, upper, cfg).
-_BOX_MEMO = ObjectMemo()
+#: box probabilities per normal while it lives: normal -> {(lower bytes,
+#: upper bytes, cfg): [the box's lock] + [its result, once computed]}.
+_BOXES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+#: guards :data:`_BOXES` and its inner tables, never a computation.
+_BOXES_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -245,7 +254,11 @@ def mvn_rect_prob(dist: GaussianMulti, lower, upper,
     sampled. A box with ``lower < upper`` has positive mass, so an estimate
     of 0 raises :class:`NonConvergence`. The result is remembered for
     ``dist`` (keyed on the bound bytes and ``cfg``) while ``dist`` lives, so
-    a repeated box returns the same result, ``evaluations`` included.
+    a repeated box returns the same result, ``evaluations`` included; an
+    equal-valued but distinct normal computes its own. The first caller of
+    a box computes it under the box's lock, while racing callers wait for
+    that result and other boxes compute in parallel; if the computation
+    raises, nothing is stored and the next call computes afresh.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -256,8 +269,14 @@ def mvn_rect_prob(dist: GaussianMulti, lower, upper,
         )
     if not np.all(lower < upper):
         raise DomainError("each lower bound must be < the matching upper bound")
-    result = _BOX_MEMO.get(dist, (lower.tobytes(), upper.tobytes(), cfg),
-                           lambda: _box_prob(dist, lower, upper, cfg))
+    key = (lower.tobytes(), upper.tobytes(), cfg)
+    with _BOXES_LOCK:
+        boxes = _BOXES.setdefault(dist, {})
+        slot = boxes.get(key) or boxes.setdefault(key, [threading.Lock()])
+    with slot[0]:
+        if len(slot) == 1:
+            slot.append(_box_prob(dist, lower, upper, cfg))
+        result = slot[1]
     if result.value <= 0.0:
         raise NonConvergence("a box probability underflowed to 0: the box lies too far out")
     return result

@@ -430,3 +430,30 @@ class TestDiscreteApprox:
             DiscreteApprox(np.array([0.0, 1.0]), np.array([0.7, 0.7]))
         with pytest.raises(InvalidDistribution):
             DiscreteApprox(np.array([0.0, 1.0]), np.array([-0.1, 1.1]))
+
+
+#: (call, error, message) for each input refused before any work is done
+REFUSED = [
+    (lambda: approx.GridDensity([0.0, 1.0, 2.0], [0.5, 0.5]), InvalidDistribution,
+     "x and values must be matching 1-D arrays"),
+    (lambda: approx.GridDensity([0.0, 1.0, 3.0], [0.25, 0.5, 0.25]), InvalidDistribution,
+     "grid must be equally spaced"),
+    (lambda: approx.GridDensity([0.0, 1.0, 2.0], [0.5, -0.1, 0.5]), InvalidDistribution,
+     "density values must be >= 0"),
+    (lambda: nln_sum_density([NLNComponent(1, 0.0, 0.3)], n_points=15), DomainError,
+     "n_points must be >= 16"),
+    (lambda: DiscreteApprox(np.array([0.0, 1.0]), np.array([1.0])), InvalidDistribution,
+     "nodes and weights must be matching 1-D arrays"),
+    (lambda: moment_match(STD_NORMAL_MOMENTS, 0), DomainError, "n_nodes must be >= 1"),
+    (lambda: moment_match(STD_NORMAL_MOMENTS[:4], 3), DomainError, "need 6 moments m_0..m_5"),
+    (lambda: moment_match(np.array([1.0, 0.0, math.inf, 0.0]), 2), DomainError,
+     "moments must be finite"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSED,
+                         ids=[f"{e.__name__}-{i}" for i, (_, e, _) in enumerate(REFUSED)])
+def test_malformed_input_refused(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -231,6 +231,13 @@ class TestApprox:
         grid = np.loadtxt(out, delimiter=",", skiprows=1)
         assert np.allclose(grid[:, 1], normal_pdf(grid[:, 0], 0.0, 0.5), rtol=1e-13, atol=0.0)
 
+    def test_nln_density_component_counts_must_match(self, tmp_path, capsys):
+        assert main(["approx", "nln-density", "--k", "1,2", "--mu-y", "0", "--sigma-y", "0.3",
+                     "--output", str(tmp_path / "g.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: --k, --mu-y and --sigma-y need the same number of entries\n")
+        assert not (tmp_path / "g.csv").exists()
+
     def test_nln_density_out_of_float_range_exits_two(self, tmp_path, capsys):
         assert main(["approx", "nln-density", "--k", "1", "--mu-y", "0", "--sigma-y", "20",
                      "--output", str(tmp_path / "g.csv")]) == 2
@@ -381,6 +388,12 @@ class TestCompare:
         assert main(["compare", *group_csvs, "--method", "jl", "--k", "2",
                      "--fit", "truncated", "--bounds", bounds, "--seed", "1"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_box_sample_cap_refused_before_any_csv_is_read(self, tmp_path, capsys):
+        missing = [str(tmp_path / "none1.csv"), str(tmp_path / "none2.csv")]
+        assert main(["compare", *missing, "--k", "2", "--fit", "mvn",
+                     "--mc-samples", "10"]) == 1
+        assert capsys.readouterr().err == "error: mc_samples must be >= 1000\n"
 
     def test_zero_flag_overrides_config(self, group_csvs, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,12 +1,8 @@
 """Domain type invariants, constructor messages, and serialization."""
 
 import dataclasses
-import gc
 import json
 import math
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -27,7 +23,6 @@ from distsim import (
     from_json,
     to_json,
 )
-from distsim.core import ObjectMemo
 from distsim.pipeline import estimate_mvn
 
 NAN, INF = math.nan, math.inf
@@ -86,6 +81,11 @@ MALFORMED = [
      "S: cov is not symmetric"),
     (MvnOverlapParams, ([0.0] * 2, [1.0] * 2, [0.0] * 2, SINGULAR),
      "S: cov is not positive definite"),
+    (OverlapParams, (0.0, 1.0, 0.5, 0.0), "varsigma must be > 0"),
+    (DistanceMatrix, (("a", "b"), np.zeros((3, 3))),
+     "values must be G x G with G = len(labels)"),
+    (DistanceMatrix, (("a", "b"), [[0.0, NAN], [NAN, 0.0]]), "distances must not be NaN"),
+    (DistanceMatrix, (("a", "b"), [[0.0, -1.0], [-1.0, 0.0]]), "distances must be >= 0"),
 ]
 
 
@@ -231,7 +231,8 @@ class TestSampleMatrix:
         ("1,2\nNA,4\n", "row 3, column 'a'"),
         ("1,2\n3\n", "row 3 .*column 2 "),
         ("1,2\n3,x\n", "row 3, column 'b'"),
-    ], ids=["na-cell", "ragged-row", "non-numeric"])
+        ("", "need a header row and at least one data row"),
+    ], ids=["na-cell", "ragged-row", "non-numeric", "header-only"])
     def test_csv_refusals_name_row_and_column(self, tmp_path, rows, where):
         path = tmp_path / "m.csv"
         path.write_text("a,b\n" + rows)
@@ -336,73 +337,3 @@ class TestMisc:
     def test_quad_result_error_nonnegative(self):
         with pytest.raises(InvalidDistribution):
             QuadResult(1.0, -0.1, 10)
-
-
-class TestObjectMemo:
-    def test_entries_die_with_their_object(self):
-        memo = ObjectMemo()
-        a, b = (GaussianMulti([0.0], [[1.0]]) for _ in range(2))
-        assert memo.get(a, "x", lambda: 1) == 1
-        assert memo.get(a, "x", lambda: 2) == 1
-        # equal values, distinct objects: nothing shared
-        assert memo.get(b, "x", lambda: 3) == 3
-        del a
-        gc.collect()
-        assert len(memo) == 1
-
-    def test_racing_threads_all_see_the_first_stored_value(self):
-        memo = ObjectMemo()
-        objs = [GaussianMulti([0.0], [[1.0]]) for _ in range(4)]
-        keys = range(8)
-        seen = []
-        computed = []
-        lock = threading.Lock()
-        start = threading.Barrier(8, timeout=30)
-
-        def compute():
-            time.sleep(1e-4)  # widen the window between a miss and its store
-            value = object()
-            with lock:
-                computed.append(value)
-            return value
-
-        def work():
-            start.wait()
-            for obj in objs:
-                for key in keys:
-                    value = memo.get(obj, key, compute)
-                    with lock:
-                        seen.append((id(obj), key, value))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(seen) == 8 * len(objs) * len(keys)
-        by_key = {}
-        for obj_id, key, value in seen:
-            by_key.setdefault((obj_id, key), set()).add(id(value))
-        # a lost update would hand two threads different values for one key
-        assert len(by_key) == len(objs) * len(keys)
-        assert all(len(ids) == 1 for ids in by_key.values())
-        # a racing thread waits for the first computation instead of repeating it
-        assert len(computed) == len(objs) * len(keys)
-        assert len(memo) == len(objs)
-
-    def test_failed_compute_leaves_the_slot_empty(self):
-        memo = ObjectMemo()
-        obj = GaussianMulti([0.0], [[1.0]])
-
-        def fail():
-            raise ZeroDivisionError("float division by zero")
-
-        with pytest.raises(ZeroDivisionError):
-            memo.get(obj, "x", fail)
-        assert memo.get(obj, "x", lambda: 2) == 2

@@ -273,6 +273,16 @@ class TestSampleCoefficient:
         with pytest.raises(EmptySample):
             sample_coefficient([0, 0], [1, 1])
 
+    @pytest.mark.parametrize("counts_p, counts_q, error, message", [
+        ([1, 2], [1, 2, 3], DimensionMismatch, "count vectors must be 1-D and aligned"),
+        ([[1, 2]], [[1, 2]], DimensionMismatch, "count vectors must be 1-D and aligned"),
+        ([1, -1, 2], [1, 1, 1], DomainError, "counts must be nonnegative"),
+    ], ids=["unaligned", "two-d", "negative"])
+    def test_malformed_counts_refused(self, counts_p, counts_q, error, message):
+        with pytest.raises(error) as info:
+            sample_coefficient(counts_p, counts_q)
+        assert str(info.value) == message
+
 
 class TestCoefficientContinuous:
     def test_same_density(self):
@@ -302,6 +312,8 @@ class TestDivergenceValue:
     def test_consistency_enforced(self):
         with pytest.raises(DomainError):
             DivergenceValue(0.5, 0.1)
+        with pytest.raises(DomainError, match=r"coefficient must be in \[0, 1\], got 1.5"):
+            DivergenceValue(1.5, 0.0)
         with pytest.raises(DomainError):
             DivergenceValue(0.0, 3.0)
 

@@ -466,6 +466,12 @@ class TestTruncationInequality:
                 TruncGaussianUni(0, 1, 0, 1), TruncGaussianUni(0, 1, 2, 3)
             )
 
+    def test_mvn_disjoint_boxes_rejected(self):
+        p = TruncGaussianMulti([0, 0], np.eye(2), [0, 0], [1, 1])
+        q = TruncGaussianMulti([0, 0], np.eye(2), [0, 2], [1, 3])
+        with pytest.raises(DomainError, match="supports do not overlap"):
+            truncation_inequality_holds_mvn(p, q, CFG)
+
     def test_mvn_wide_boxes_near_equality(self):
         p = TruncGaussianMulti([0, 0], np.eye(2), [-10, -10], [10, 10])
         q = TruncGaussianMulti([0.3, 0.1], np.eye(2), [-10, -10], [10, 10])

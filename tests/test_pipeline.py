@@ -231,6 +231,44 @@ class TestEstimateTruncatedUni:
         assert v == pytest.approx(float(draws.var(ddof=1)), rel=1e-5)
 
 
+def scaled_groups(scale):
+    """Three 120x4 groups a shift of 0.3 apart, all multiplied by ``scale``."""
+    rng = np.random.default_rng(4)
+    return [GroupDataset(f"g{i}", SampleMatrix((rng.standard_normal((120, 4)) + 0.3 * i) * scale))
+            for i in range(3)]
+
+
+class TestUnitFree:
+    """The normal fits give the same distances in any units, or refuse them."""
+
+    @pytest.mark.parametrize("fit", ["mvn", "truncated"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-100, 1e-150])
+    def test_distances_do_not_depend_on_the_units(self, fit, scale):
+        cfg = RunConfig(method="jl", k=3, fit=fit, seed=3, mc_samples=20_000)
+        want = compare_groups(scaled_groups(1.0), cfg).matrices[0].values
+        got = compare_groups(scaled_groups(scale), cfg).matrices[0].values
+        assert want[0, 1] > 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("fit", ["mvn", "truncated"])
+    def test_variances_below_the_float_range_refused(self, fit):
+        cfg = RunConfig(method="jl", k=3, fit=fit, seed=3, mc_samples=20_000)
+        with pytest.raises(DegenerateData, match="sample variance underflows"):
+            compare_groups(scaled_groups(1e-160), cfg)
+
+    @pytest.mark.parametrize("estimate", [estimate_mvn, estimate_truncated_uni])
+    def test_estimators_refuse_a_subnormal_variance(self, estimate):
+        x = np.random.default_rng(0).standard_normal((250, 1)) * 1e-160
+        with pytest.raises(DegenerateData, match="sample variance underflows"):
+            estimate(x if estimate is estimate_mvn else x[:, 0])
+
+    def test_observed_range_is_padded_relative_to_its_width(self):
+        x = np.random.default_rng(0).standard_normal(250)
+        fits = [estimate_truncated_uni(x * s) for s in (1.0, 1e-12)]
+        assert fits[1].lower / 1e-12 == pytest.approx(fits[0].lower, rel=1e-12)
+        assert fits[1].upper / 1e-12 == pytest.approx(fits[0].upper, rel=1e-12)
+
+
 class TestCompareGroupsJl:
     def test_same_law_pair_is_closest(self):
         groups = synthetic_groups(seed=0)
@@ -440,10 +478,52 @@ class TestCompareGroupsPca:
         {"method": "pca", "bounds": "full"},
         {"method": "pca", "fit": "truncated", "bounds": [False, True]},
         {"method": "pca", "fit": "truncated", "bounds": [0.0, True]},
+        {"method": "pca", "mc_samples": 10},
+        {"method": "pca", "fit": "bogus"},
+        {"method": "pca", "shrinkage": 1.0},
+        {"method": "pca", "sig_digits": 0},
+        {"method": "pca", "n_nodes": 0},
+        {"method": "jl", "k": 2, "fit": "mvn", "mc_samples": 999},
     ])
     def test_malformed_config_refused(self, config):
         with pytest.raises(DomainError):
             RunConfig.from_dict(config)
+
+
+def two_groups(t=30):
+    rng = np.random.default_rng(8)
+    return [GroupDataset(name, SampleMatrix(rng.standard_normal((t, 3)) + 2.0))
+            for name in ("A", "B")]
+
+
+#: (call, error, message) for each input the pipeline refuses before fitting
+REFUSED = [
+    (lambda: GroupDataset("", SampleMatrix(np.ones((3, 2)))), DomainError,
+     "group name must be nonempty"),
+    (lambda: GroupDataset("A", SampleMatrix(np.ones((3, 1)))), InvalidDistribution,
+     "a group needs at least 2 variables"),
+    (lambda: estimate_mvn(np.ones((1, 3))), DegenerateData, "need at least two observations"),
+    (lambda: estimate_truncated_uni(np.r_[np.arange(12.0), math.nan]), DomainError,
+     "observations must be finite"),
+    (lambda: estimate_truncated_uni(np.arange(12.0), bounds=(2.0, 2.0)), DomainError,
+     "fixed bounds must satisfy lower < upper"),
+    (lambda: compare_groups(two_groups()[:1], RunConfig(method="jl", k=2)), DomainError,
+     "need at least two groups"),
+    (lambda: compare_groups([two_groups()[0]] * 2, RunConfig(method="jl", k=2)), DomainError,
+     "group names must be unique"),
+    (lambda: compare_groups([GroupDataset(g.name, SampleMatrix(np.asarray(g.data) - 2.0))
+                             for g in two_groups()],
+                            RunConfig(method="jl", k=2, log_returns=True)), DomainError,
+     "log returns need strictly positive levels"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSED,
+                         ids=[f"{e.__name__}-{i}" for i, (_, e, _) in enumerate(REFUSED)])
+def test_malformed_input_refused(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 def mixed_width_groups(seed, widths=(6, 3, 5), t=60):
@@ -672,16 +752,16 @@ class TestBoxNormaliserMemo:
 
     def test_memo_dies_with_the_fits(self, monkeypatch):
         gc.collect()
-        before = len(quadrature._BOX_MEMO)
+        before = len(quadrature._BOXES)
         sizes = []
         original = quadrature._box_prob
 
         def recorded(*args):
-            sizes.append(len(quadrature._BOX_MEMO))
+            sizes.append(len(quadrature._BOXES))
             return original(*args)
 
         monkeypatch.setattr(quadrature, "_box_prob", recorded)
         truncated_run(mixed_width_groups(36, widths=(4, 5, 4), t=120))
         assert max(sizes) > before
         gc.collect()
-        assert len(quadrature._BOX_MEMO) == before
+        assert len(quadrature._BOXES) == before

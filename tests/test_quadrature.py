@@ -1,7 +1,13 @@
 """Integration primitives against series, closed-form, and grid oracles."""
 
+import copy
 import dataclasses
+import gc
 import math
+import pickle
+import sys
+import threading
+import time
 
 import mpmath
 import numpy as np
@@ -12,8 +18,11 @@ from scipy.stats import multivariate_normal
 from distsim import (
     DomainError,
     GaussianMulti,
+    InvalidDistribution,
     NonConvergence,
+    NotPositiveDefinite,
     QuadConfig,
+    QuadResult,
     integrate_1d,
     mvn_rect_prob,
 )
@@ -111,6 +120,18 @@ class TestIntegrate1d:
         want = right * half + left * (-1.0) ** powers * half
         assert r.value.shape == (8,)
         assert np.allclose(r.value, want, rtol=1e-9, atol=1e-12)
+
+    def test_tolerance_shrunk_with_the_integral_reports_the_summed_error(self):
+        # a spike on the first pass's middle node inflates the first estimate, so
+        # the panels retired then met a share of a larger tolerance; bisection puts
+        # the spike on a panel edge, where no node sees it, the integral shrinks,
+        # and with no panel left the summed error is reported above the tolerance
+        w, c = 300.0, 0.5 / 24
+        r = integrate_1d(lambda x: np.sin(w * x) + 1e6 * np.exp(-((x - c) / 1e-9) ** 2),
+                         0.0, 1.0)
+        assert r.evaluations == 21 * (24 + 2)
+        assert r.error_estimate > max(ABS_TOL, REL_TOL * abs(r.value))
+        assert r.value == pytest.approx((1.0 - math.cos(w)) / w, rel=0.0, abs=r.error_estimate)
 
 
 class TestIntegrate1dVec:
@@ -264,6 +285,25 @@ class TestMvnRectProb:
         b = mvn_rect_prob(g, [-1.0, -1.0], [1.0, 1.0], QuadConfig(seed=9))
         assert a.value == b.value and a.error_estimate == b.error_estimate
 
+    def test_cholesky_refusal_is_typed(self):
+        # a rank-one covariance's eigenvalues can round positive, so the normal
+        # builds, while the Cholesky factor meets a pivot that rounds to <= 0
+        rng = np.random.default_rng(0)
+        refused = []
+        for _ in range(500):
+            v = rng.standard_normal((2, 1))
+            try:
+                g = GaussianMulti([0.0, 0.0], v @ v.T)
+                np.linalg.cholesky(g.cov)
+            except InvalidDistribution:
+                continue
+            except np.linalg.LinAlgError:
+                refused.append(g)
+        assert refused
+        for g in refused:
+            with pytest.raises(NotPositiveDefinite):
+                mvn_rect_prob(g, [-1.0, -1.0], [1.0, 1.0], CFG)
+
     def test_dimension_and_bound_errors(self):
         g = GaussianMulti([0.0, 0.0], np.eye(2))
         with pytest.raises(Exception):
@@ -308,6 +348,101 @@ class TestMvnRectProbStopping:
         r = mvn_rect_prob(*self.box(6), QuadConfig(seed=123, mc_samples=24_000))
         assert r.evaluations == 12 * 2048
         assert r.error_estimate > MC_REL_TARGET * r.value
+
+
+class TestBoxMemo:
+    """A box is computed once per normal and remembered while that normal lives."""
+
+    BOX = ([-1.0, -1.0], [1.0, 1.0])
+
+    @staticmethod
+    def counted(monkeypatch, compute):
+        """Route ``_box_prob`` through ``compute``; returns the list of its calls."""
+        computed = []
+
+        def box_prob(dist, lower, upper, cfg):
+            computed.append((id(dist), lower.tobytes(), upper.tobytes()))
+            return compute(dist, lower, upper, cfg)
+
+        monkeypatch.setattr(quadrature, "_box_prob", box_prob)
+        return computed
+
+    def test_one_computation_per_normal_and_box(self, monkeypatch):
+        computed = self.counted(monkeypatch, quadrature._box_prob)
+        a, b = (GaussianMulti([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]]) for _ in range(2))
+        gc.collect()
+        before = len(quadrature._BOXES)
+        first = mvn_rect_prob(a, *self.BOX, CFG)
+        assert mvn_rect_prob(a, *self.BOX, CFG) is first
+        assert len(computed) == 1
+        # equal values, distinct objects: nothing shared, the same bits
+        other = mvn_rect_prob(b, *self.BOX, CFG)
+        assert other is not first and other.value == first.value
+        # another box or another config is another computation
+        mvn_rect_prob(a, [-1.0, -2.0], [1.0, 1.0], CFG)
+        mvn_rect_prob(a, *self.BOX, QuadConfig(seed=124))
+        assert len(computed) == 4
+        assert len(quadrature._BOXES) == before + 2
+        # nothing is stored on the normal: it still pickles and copies
+        assert pickle.loads(pickle.dumps(a)).cov.tolist() == a.cov.tolist()
+        assert copy.deepcopy(a).mu.tolist() == a.mu.tolist()
+        del a, first
+        gc.collect()
+        assert len(quadrature._BOXES) == before + 1
+
+    def test_racing_threads_all_see_the_first_stored_result(self, monkeypatch):
+        def compute(dist, lower, upper, cfg):
+            time.sleep(1e-4)  # widen the window between a miss and its store
+            return QuadResult(0.5, 0.0, 1)
+
+        computed = self.counted(monkeypatch, compute)
+        normals = [GaussianMulti([0.0, 0.0], np.eye(2)) for _ in range(4)]
+        boxes = [([-1.0 - i, -1.0], [1.0, 1.0]) for i in range(8)]
+        seen = []
+        lock = threading.Lock()
+        start = threading.Barrier(8, timeout=30)
+
+        def work():
+            start.wait()
+            for g in normals:
+                for i, box in enumerate(boxes):
+                    result = mvn_rect_prob(g, *box, CFG)
+                    with lock:
+                        seen.append((id(g), i, id(result)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 8 * len(normals) * len(boxes)
+        by_box = {}
+        for g_id, i, result_id in seen:
+            by_box.setdefault((g_id, i), set()).add(result_id)
+        # a lost update would hand two threads different results for one box
+        assert len(by_box) == len(normals) * len(boxes)
+        assert all(len(ids) == 1 for ids in by_box.values())
+        # a racing thread waits for the first computation instead of repeating it
+        assert len(computed) == len(normals) * len(boxes)
+        assert all(len(quadrature._BOXES[g]) == len(boxes) for g in normals)
+
+    def test_failed_computation_stores_nothing(self, monkeypatch):
+        def fail(dist, lower, upper, cfg):
+            raise ZeroDivisionError("float division by zero")
+
+        self.counted(monkeypatch, fail)
+        g = GaussianMulti([0.0, 0.0], np.eye(2))
+        with pytest.raises(ZeroDivisionError):
+            mvn_rect_prob(g, *self.BOX, CFG)
+        computed = self.counted(monkeypatch, lambda *args: QuadResult(0.25, 0.0, 1))
+        assert mvn_rect_prob(g, *self.BOX, CFG).value == 0.25
+        assert len(computed) == 1
 
 
 class TestQuadConfig:

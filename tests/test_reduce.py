@@ -9,6 +9,7 @@ import pytest
 from distsim import (
     DegenerateData,
     DimensionMismatch,
+    DistortionReport,
     DomainError,
     GroupDataset,
     InvalidDistribution,
@@ -124,6 +125,22 @@ class TestDistortionReport:
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
         rep = jl_distortion_report(x, x, 0.1)
         assert rep.pair_count == 2
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: jl_distortion_report(np.ones((1, 2)), np.ones((1, 2)), 0.3), DomainError,
+         "need at least two points"),
+        (lambda: jl_distortion_report(np.eye(3), np.eye(3), 0.0), DomainError,
+         "epsilon must be positive"),
+        (lambda: jl_distortion_report(np.ones((3, 2)), np.ones((3, 2)), 0.3), DegenerateData,
+         "all original points coincide"),
+        (lambda: DistortionReport(3, 1.0, 1.0, 1.0, 1.5), DomainError,
+         "fraction_within must be in [0, 1]"),
+        (lambda: jl_project(np.eye(3), 0, 1), DomainError, "k must be >= 1"),
+    ], ids=["one-point", "zero-epsilon", "coincident", "fraction", "zero-k"])
+    def test_refused(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestJLConfig:

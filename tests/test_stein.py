@@ -8,8 +8,10 @@ import pytest
 
 from distsim import (
     BoundaryConditionViolated,
+    DensityUnderflow,
     DomainError,
     GaussianUni,
+    IdentityReport,
     InvalidDistribution,
     JointDensitySpec,
     MomentMismatch,
@@ -386,3 +388,36 @@ class TestPriceAsset:
 
             rep = price_asset(spec, c, cp)
             assert rep.max_residual <= max(1e-3, 3 * rep.combined_error)
+
+
+#: a correlated pair whose joint density underflows 6 sd off the diagonal
+TIGHT = JointDensitySpec.bivariate_normal(corr=0.99)
+#: f_X underflows inside the support, which the wider f_Y sets
+NARROW_X = JointDensitySpec.bivariate_normal(sigma_x=0.1, sigma_y=1.0)
+
+#: (call, error, message) for each input refused before an identity is judged
+REFUSED = [
+    (lambda: JointDensitySpec.bivariate_normal(corr=1.0), DomainError,
+     "corr must be strictly inside (-1, 1)"),
+    (lambda: IdentityReport(0.0, 0.0, -1.0, 0.0), DomainError, "residual must be >= 0"),
+    (lambda: g_from_joint(TIGHT, IDENTITY, 20.0, 0.0), DomainError,
+     "r=20.0 outside the support"),
+    (lambda: g_from_joint(TIGHT, IDENTITY, 0.0, 0.0, form="middle"), DomainError,
+     "form must be 'upper' or 'lower', got 'middle'"),
+    (lambda: g_from_joint(TIGHT, IDENTITY, 0.0, 6.0), DensityUnderflow,
+     "joint density underflows at (0.0, 6.0)"),
+    (lambda: g_from_joint(TIGHT, IDENTITY, 0.0, np.array([0.5, 6.0, 7.0])), DensityUnderflow,
+     "joint density underflows at (0.0, 6.0)"),
+    (lambda: verify_distance_covariance(NARROW_X), DensityUnderflow,
+     "f_X vanishes inside the support"),
+    (lambda: price_asset(NARROW_X, IDENTITY, ONES), DensityUnderflow,
+     "f_X vanishes inside the support"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSED,
+                         ids=[f"{e.__name__}-{i}" for i, (_, e, _) in enumerate(REFUSED)])
+def test_refused(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
