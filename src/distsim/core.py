@@ -60,7 +60,7 @@ ScalarFn2 = Callable[[float, float], float]
 PROB_SUM_TOL = 1e-12
 #: |sum(probs) - 1| at or below this is renormalized with a warning.
 PROB_SUM_RENORM_TOL = 1e-9
-#: covariance symmetry tolerance (max abs deviation).
+#: covariance symmetry tolerance: |c_ij - c_ji| relative to sd_i sd_j.
 SYMMETRY_TOL = 1e-10
 #: largest |diagonal entry| a DistanceMatrix accepts as zero.
 DIAG_TOL = 1e-9
@@ -229,7 +229,8 @@ class GaussianMulti(_Distribution):
             raise InvalidDistribution("cov must be a square matrix")
         if not np.all(np.isfinite(cov)):
             raise InvalidDistribution("cov must be finite")
-        if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
+        sd = np.sqrt(np.abs(np.diag(cov)))
+        if np.any(np.abs(cov - cov.T) > SYMMETRY_TOL * sd[:, None] * sd[None, :]):
             raise InvalidDistribution("cov is not symmetric")
         log_det, condition = log_det_condition(cov)
         if math.isnan(log_det):

@@ -195,5 +195,5 @@ def bc_coefficient_continuous(f: ScalarFn, g: ScalarFn, support) -> DivergenceVa
     mass_f, mass_g, rho = integrate_1d(parts, *support).value
     for name, mass in (("f", mass_f), ("g", mass_g)):
         if abs(mass - 1.0) > 1e-6:
-            raise NotADensity(f"{name} integrates to {mass!r} over the support, not 1")
+            raise NotADensity(f"{name} integrates to {float(mass)!r} over the support, not 1")
     return DivergenceValue.from_coefficient(rho)

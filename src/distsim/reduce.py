@@ -87,13 +87,18 @@ def jl_project(data, k: int, seed: int = 0) -> np.ndarray:
 
     ``data`` is a 2-D array-like of finite values (rows are points, columns
     coordinates); the result is the ``(n_points, k)`` array of projections.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. A projection that overflows the float
+    range raises :class:`DegenerateData`.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
     points = _points(data)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return points @ (rng.standard_normal((points.shape[1], k)) / math.sqrt(k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        projected = points @ (rng.standard_normal((points.shape[1], k)) / math.sqrt(k))
+    if not np.isfinite(projected).all():
+        raise DegenerateData("the projection overflows the float range")
+    return projected
 
 
 def jl_distortion_report(original, projected, epsilon: float) -> DistortionReport:
@@ -101,7 +106,9 @@ def jl_distortion_report(original, projected, epsilon: float) -> DistortionRepor
     landing inside ``[1 - eps, 1 + eps]``.
 
     Coincident original points (zero distance) are excluded from the ratio
-    statistics; a zero maps to a zero under any linear projection.
+    statistics; a zero maps to a zero under any linear projection. Both sets
+    are divided by one power of two near their largest magnitude, so the
+    ratios keep their bits and stay finite in any units.
     """
     a, b = _points(original), _points(projected)
     if a.shape[0] != b.shape[0]:
@@ -111,8 +118,9 @@ def jl_distortion_report(original, projected, epsilon: float) -> DistortionRepor
     if not 0.0 < epsilon:
         raise DomainError("epsilon must be positive")
 
-    sq_orig = pdist(a, "sqeuclidean")
-    sq_proj = pdist(b, "sqeuclidean")
+    exponent = np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1]
+    sq_orig = pdist(np.ldexp(a, -exponent), "sqeuclidean")
+    sq_proj = pdist(np.ldexp(b, -exponent), "sqeuclidean")
     nonzero = sq_orig > 0
     ratios = sq_proj[nonzero] / sq_orig[nonzero]
     if ratios.size == 0:

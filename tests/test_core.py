@@ -86,6 +86,8 @@ MALFORMED = [
      "values must be G x G with G = len(labels)"),
     (DistanceMatrix, (("a", "b"), [[0.0, NAN], [NAN, 0.0]]), "distances must not be NaN"),
     (DistanceMatrix, (("a", "b"), [[0.0, -1.0], [-1.0, 0.0]]), "distances must be >= 0"),
+    # symmetry is judged relative to sd_i sd_j: these entries differ 5e10-fold
+    (GaussianMulti, ([0.0, 0.0], [[1e-20, 5e-11], [1e-21, 1e-20]]), "cov is not symmetric"),
 ]
 
 

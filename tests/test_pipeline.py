@@ -241,14 +241,24 @@ def scaled_groups(scale):
 class TestUnitFree:
     """The normal fits give the same distances in any units, or refuse them."""
 
-    @pytest.mark.parametrize("fit", ["mvn", "truncated"])
-    @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-100, 1e-150])
-    def test_distances_do_not_depend_on_the_units(self, fit, scale):
-        cfg = RunConfig(method="jl", k=3, fit=fit, seed=3, mc_samples=20_000)
+    @staticmethod
+    def assert_unit_free(cfg, scale, rtol):
         want = compare_groups(scaled_groups(1.0), cfg).matrices[0].values
         got = compare_groups(scaled_groups(scale), cfg).matrices[0].values
         assert want[0, 1] > 0.0
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("fit", ["mvn", "truncated"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-100, 1e-150, 1e100, 1e150])
+    def test_distances_do_not_depend_on_the_units(self, fit, scale):
+        cfg = RunConfig(method="jl", k=3, fit=fit, seed=3, mc_samples=20_000)
+        self.assert_unit_free(cfg, scale, rtol=1e-10)
+
+    @pytest.mark.parametrize("fit", ["mvn", "truncated"])
+    @pytest.mark.parametrize("scale", [1e-10, 1e-100, 1e-150, 1e100, 1e150])
+    def test_pca_distances_do_not_depend_on_the_units(self, fit, scale):
+        cfg = RunConfig(method="pca", fit=fit, seed=3, mc_samples=20_000)
+        self.assert_unit_free(cfg, scale, rtol=1e-9)
 
     @pytest.mark.parametrize("fit", ["mvn", "truncated"])
     def test_variances_below_the_float_range_refused(self, fit):

@@ -93,6 +93,12 @@ class TestProject:
             ratios.append(float(np.sum(y ** 2)) / base)
         assert 0.95 <= np.mean(ratios) <= 1.05
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_projection_refused(self):
+        signs = np.random.default_rng(2).choice([-1.0, 1.0], (5, 40))
+        with pytest.raises(DegenerateData, match="the projection overflows the float range"):
+            jl_project(1.5e308 * signs, 2, seed=1)
+
     def test_distortion_high_probability(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((40, 300))
@@ -116,6 +122,19 @@ class TestDistortionReport:
         assert rep.fraction_within == 0.0
         rep_wide = jl_distortion_report(x, 2.0 * x, 3.5)
         assert rep_wide.fraction_within == 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
+    def test_ratios_do_not_depend_on_the_units(self, scale):
+        x = np.array([[1.0, 2.0], [-1.0, 0.5], [0.3, -2.0]])
+        y = jl_project(x, 2, seed=3)
+        want = jl_distortion_report(x, y, 0.5)
+        got = jl_distortion_report(x * scale, y * scale, 0.5)
+        assert got.pair_count == want.pair_count == 3
+        assert got.fraction_within == want.fraction_within
+        for field in ("min_ratio", "max_ratio", "mean_ratio"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-14)
+        assert jl_distortion_report(x * scale, x * scale, 0.5).min_ratio == 1.0
 
     def test_point_count_mismatch(self):
         with pytest.raises(DimensionMismatch):
